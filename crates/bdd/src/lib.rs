@@ -138,8 +138,12 @@
 //!   convergence ([`ConvergeConfig`]), fusing adjacent symmetric
 //!   variables into group blocks ([`Manager::symmetric_levels`]).
 //!   [`window_reorder`] drives the same swaps through a sliding
-//!   window-permutation search, and [`sift_reorder`] /
-//!   [`sift_converge_reorder`] scope a sift to one function.
+//!   window-permutation search whose candidates are sized, not built, by a
+//!   [`WindowOracle`]: permuting a window of adjacent levels leaves every
+//!   node outside it untouched (Rudell's locality), so the oracle counts
+//!   the nodes each arrangement would put at the window's levels from its
+//!   entry nodes' tabulated cofactors — exactly, read-only. [`sift_reorder`]
+//!   / [`sift_converge_reorder`] scope a sift to one function.
 //! * Sifting runs only at explicit quiescent points, never inside a
 //!   kernel: flows either call the search functions directly (the BDS
 //!   engine reorders each supernode cone before decomposition) or enable
@@ -329,7 +333,9 @@ pub use manager::{
     AutoSiftConfig, CacheStats, ConvergeConfig, GcConfig, Manager, Node, SiftConfig, SiftReport,
 };
 pub use reference::{NodeId, Ref, Var};
-pub use reorder::{invert, sift_converge_reorder, sift_reorder, window_reorder, Reordered};
+pub use reorder::{
+    invert, sift_converge_reorder, sift_reorder, window_reorder, Reordered, WindowOracle,
+};
 pub use session::{
     JobBudget, LimitExceeded, LimitKind, ResourceLimits, Session, DEFAULT_CACHE_BITS,
 };

@@ -2,7 +2,7 @@
 //! against randomly generated Boolean expressions, with the BDD compared to
 //! a bit-parallel truth-vector oracle.
 
-use bdd::{ConvergeConfig, GcConfig, LimitKind, Manager, Ref, SiftConfig};
+use bdd::{ConvergeConfig, GcConfig, LimitKind, Manager, Ref, SiftConfig, WindowOracle};
 use proptest::prelude::*;
 
 /// A random Boolean expression over `NVARS` variables.
@@ -1131,4 +1131,251 @@ fn complement_storm_with_gc_and_converge_sift_stays_canonical() {
         }
     }
     assert!(quiesces >= 4, "the storm must actually quiesce");
+}
+
+// ---------------------------------------------------------------------
+// Window-local size oracle: every probe against a real renaming rebuild,
+// and window_reorder against the rebuild-probing search it replaced.
+
+/// All arrangements of window positions `0..w` in lexicographic order
+/// (identity first) — the candidate order `window_reorder` must follow.
+fn window_arrangements(w: usize) -> Vec<Vec<usize>> {
+    if w == 0 {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for head in 0..w {
+        for tail in window_arrangements(w - 1) {
+            let mut arr = vec![head];
+            arr.extend(tail.into_iter().map(|p| if p >= head { p + 1 } else { p }));
+            out.push(arr);
+        }
+    }
+    out
+}
+
+/// The renaming that makes `f` behave as if the variable now at level
+/// `start + arr[i]` sat at level `start + i` (the old probe's `perm`).
+fn window_renaming(m: &Manager, start: usize, arr: &[usize]) -> Vec<u32> {
+    let slice = &m.level2var()[start..start + arr.len()];
+    let mut perm: Vec<u32> = (0..m.num_vars()).collect();
+    for (i, &p) in arr.iter().enumerate() {
+        perm[slice[p] as usize] = slice[i];
+    }
+    perm
+}
+
+/// Checks the oracle against `size(permute(f, perm))` for every window
+/// width in 2..=4, every start level and every arrangement.
+fn window_check_oracle(m: &mut Manager, f: Ref) {
+    let n = m.num_vars() as usize;
+    for w in 2..=4.min(n) {
+        let mut oracle = WindowOracle::new(w);
+        assert_eq!(oracle.scan(m, f), m.size(f));
+        for start in 0..=n - w {
+            oracle.load(m, start);
+            for (k, arr) in window_arrangements(w).iter().enumerate() {
+                let got: Vec<usize> = oracle.arrangement(k).iter().map(|&p| p as usize).collect();
+                assert_eq!(&got, arr, "arrangement {k} out of lexicographic order");
+                let perm = window_renaming(m, start, arr);
+                let g = m.permute(f, &perm);
+                assert_eq!(
+                    oracle.probe(k),
+                    m.size(g),
+                    "w {w}, start {start}, arrangement {arr:?}"
+                );
+            }
+        }
+    }
+}
+
+/// The search `window_reorder` ran before its oracle: every candidate is
+/// probed by building the renamed function and measuring it.
+fn window_reference_search(m: &mut Manager, f: Ref, window: usize, max_sweeps: usize) -> usize {
+    let n = m.num_vars() as usize;
+    let mut best_size = m.size(f);
+    if n < 2 {
+        return best_size;
+    }
+    let window = window.min(n);
+    m.protect(f);
+    let support: Vec<u32> = m.support(f).iter().map(|v| v.0).collect();
+    for _ in 0..max_sweeps {
+        let mut improved = false;
+        for start in 0..=n - window {
+            let slice = m.level2var()[start..start + window].to_vec();
+            if slice.iter().filter(|v| support.contains(v)).count() < 2 {
+                continue;
+            }
+            let mut best: Option<Vec<usize>> = None;
+            for arr in window_arrangements(window).into_iter().skip(1) {
+                let perm = window_renaming(m, start, &arr);
+                let g = m.permute(f, &perm);
+                let s = m.size(g);
+                if s < best_size {
+                    best_size = s;
+                    best = Some(arr);
+                    improved = true;
+                }
+            }
+            if let Some(arr) = best {
+                // Bubble each target variable up into place.
+                for (i, &p) in arr.iter().enumerate() {
+                    let want = slice[p];
+                    let mut pos = (start + i..start + window)
+                        .find(|&q| m.level2var()[q] == want)
+                        .unwrap();
+                    while pos > start + i {
+                        m.swap_levels((pos - 1) as u32);
+                        pos -= 1;
+                    }
+                }
+                assert_eq!(
+                    m.size(f),
+                    best_size,
+                    "reference install must match its probe"
+                );
+            }
+            m.maybe_collect();
+        }
+        if !improved {
+            break;
+        }
+    }
+    m.release(f);
+    best_size
+}
+
+/// Truth vector of `f` over all `2^n` assignments (n ≤ 16), one bit each.
+fn window_truth(m: &Manager, f: Ref, n: u32) -> Vec<bool> {
+    (0..1u32 << n)
+        .map(|row| {
+            let assignment: Vec<bool> = (0..n).map(|i| row >> i & 1 == 1).collect();
+            m.eval(f, &assignment)
+        })
+        .collect()
+}
+
+/// A manager holding `exprs` as protected functions over `NVARS` shared
+/// variables, with the order scrambled by the adjacent swaps in `swaps`.
+fn window_manager(exprs: &[&Expr], swaps: &[u32]) -> (Manager, Vec<Ref>) {
+    let mut m = Manager::new();
+    for i in 0..NVARS {
+        m.var(i);
+    }
+    let fs: Vec<Ref> = exprs.iter().map(|e| e.to_bdd(&mut m)).collect();
+    for &f in &fs {
+        m.protect(f);
+    }
+    for &l in swaps {
+        m.swap_levels(l);
+    }
+    (m, fs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn window_oracle_matches_permute_rebuild(
+        e in arb_expr(),
+        g in arb_expr(),
+        h in arb_expr(),
+        swaps in proptest::collection::vec(0..NVARS - 1, 0..12),
+    ) {
+        let (mut m, fs) = window_manager(&[&e, &g, &h], &swaps);
+        for &f in &fs {
+            window_check_oracle(&mut m, f);
+            window_check_oracle(&mut m, !f);
+        }
+    }
+
+    #[test]
+    fn window_reorder_matches_renaming_search(
+        e in arb_expr(),
+        g in arb_expr(),
+        h in arb_expr(),
+        swaps in proptest::collection::vec(0..NVARS - 1, 0..12),
+        w in 2usize..5,
+        pick in 0usize..3,
+        negate in any::<bool>(),
+    ) {
+        let (mut m, fs) = window_manager(&[&e, &g, &h], &swaps);
+        let (mut r, rs) = window_manager(&[&e, &g, &h], &swaps);
+        prop_assert_eq!(&fs, &rs, "identical construction, identical refs");
+        let f = if negate { !fs[pick] } else { fs[pick] };
+        let result = bdd::window_reorder(&mut m, f, w, 4);
+        let want = window_reference_search(&mut r, f, w, 4);
+        prop_assert_eq!(m.var2level(), r.var2level(), "installed order");
+        prop_assert_eq!(result.size, want);
+        prop_assert_eq!(result.function, f);
+        let truths = [e.truth(), g.truth(), h.truth()];
+        for (&fi, &t) in fs.iter().zip(&truths) {
+            prop_assert_eq!(bdd_truth(&m, fi), t, "reordering changed a function");
+        }
+    }
+}
+
+/// Larger functions than the 6-variable expressions: random op chains
+/// over 10 shared variables, several protected at once, under a scrambled
+/// order. Every oracle probe is checked against a rebuild, then
+/// `window_reorder` against the reference search at each width, with
+/// every function's truth table checked afterwards.
+#[test]
+fn window_oracle_storm_on_ten_vars() {
+    const N: u32 = 10;
+    let mut rng = Storm(0x57A7_1C0F_D00D_3BD5);
+    let mut saved = 0usize;
+    for round in 0..6 {
+        let build = |m: &mut Manager, seed: u64| -> Vec<Ref> {
+            let mut rng = Storm(seed);
+            let mut pool: Vec<Ref> = (0..N).map(|i| m.var(i)).collect();
+            for _ in 0..40 {
+                let a = pool[rng.below(pool.len())];
+                let b = pool[rng.below(pool.len())];
+                let c = pool[rng.below(pool.len())];
+                let r = match rng.below(5) {
+                    0 => m.and(a, !b),
+                    1 => m.or(a, b),
+                    2 => m.xor(a, b),
+                    3 => m.ite(a, b, !c),
+                    _ => m.maj(a, b, c),
+                };
+                pool.push(r);
+            }
+            let fs: Vec<Ref> = pool[pool.len() - 3..].to_vec();
+            for &f in &fs {
+                m.protect(f);
+            }
+            for _ in 0..20 {
+                m.swap_levels(rng.below(N as usize - 1) as u32);
+            }
+            fs
+        };
+        let seed = rng.next();
+        let mut m = Manager::new();
+        let fs = build(&mut m, seed);
+        let truths: Vec<Vec<bool>> = fs.iter().map(|&f| window_truth(&m, f, N)).collect();
+        for &f in &fs {
+            window_check_oracle(&mut m, f);
+        }
+        for w in 2..=4 {
+            let mut r = Manager::new();
+            let rs = build(&mut r, seed);
+            let mut m = Manager::new();
+            let fs = build(&mut m, seed);
+            assert_eq!(fs, rs);
+            let f = fs[round % 3];
+            let before = m.size(f);
+            let result = bdd::window_reorder(&mut m, f, w, 4);
+            saved += before - result.size;
+            let want = window_reference_search(&mut r, f, w, 4);
+            assert_eq!(m.var2level(), r.var2level(), "round {round}, w {w}: order");
+            assert_eq!(result.size, want, "round {round}, w {w}: size");
+            for (&fi, t) in fs.iter().zip(&truths) {
+                assert_eq!(&window_truth(&m, fi, N), t, "round {round}, w {w}: truth");
+            }
+        }
+    }
+    assert!(saved > 0, "the storm must exercise installs");
 }

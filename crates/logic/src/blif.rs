@@ -6,7 +6,7 @@
 
 use crate::network::{GateKind, Network, SignalId};
 use crate::truth::TruthTable;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -240,7 +240,7 @@ fn build_names_node(
         net.set_signal_name(id, block.output.clone());
         return Ok(id);
     }
-    if block.inputs.len() > 16 {
+    if block.inputs.len() > MAX_COVER_INPUTS {
         return Err(err(block.line, "cover with more than 16 inputs"));
     }
     // BLIF covers are either on-set or off-set, not mixed.
@@ -271,12 +271,22 @@ fn build_names_node(
     Ok(id)
 }
 
+/// Widest `.names` cover the reader accepts. The writer emits XOR/XNOR
+/// gates wider than this as trees of 2-input blocks, since their cover
+/// would need `2^(n-1)` rows.
+const MAX_COVER_INPUTS: usize = 16;
+
 /// Serializes a network to BLIF text. Every node becomes a `.names` block
 /// with an on-set cover (LUTs emit their minterm list, structured gates emit
-/// a canonical cover for their function).
+/// a canonical cover for their function), except XOR/XNOR gates wider than
+/// the reader's cover limit, which become a balanced tree of 2-input XOR
+/// blocks (see [`write_xor_tree`]).
 pub fn write_blif(net: &Network) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
+    // Every name in the file, built on the first wide XOR so the tree's
+    // internal signals can be given fresh names.
+    let mut taken: Option<HashSet<String>> = None;
     let _ = writeln!(out, ".model {}", net.name());
     let in_names: Vec<String> = net.inputs().iter().map(|&i| net.signal_name(i)).collect();
     let _ = writeln!(out, ".inputs {}", in_names.join(" "));
@@ -326,6 +336,16 @@ pub fn write_blif(net: &Network) -> String {
             GateKind::Nor => {
                 let _ = writeln!(out, "{header}\n{} 1", "0".repeat(n));
             }
+            GateKind::Xor | GateKind::Xnor if n > MAX_COVER_INPUTS => {
+                let taken = taken.get_or_insert_with(|| {
+                    net.signals()
+                        .map(|s| net.signal_name(s))
+                        .chain(out_names.iter().cloned())
+                        .collect()
+                });
+                let invert = matches!(node.kind, GateKind::Xnor);
+                write_xor_tree(&mut out, &name, fanin_names, invert, taken);
+            }
             GateKind::Xor | GateKind::Xnor | GateKind::Maj | GateKind::Mux => {
                 let _ = writeln!(out, "{header}");
                 for row in 0..(1usize << n) {
@@ -374,6 +394,44 @@ pub fn write_blif(net: &Network) -> String {
     }
     out.push_str(".end\n");
     out
+}
+
+/// Writes the XOR of `fanins` (XNOR with `invert`) into `name` as a
+/// balanced tree of 2-input XOR blocks, inverting only the root. Internal
+/// signals are named `{name}_xor{k}`, skipping (and then claiming) every
+/// name in `taken`.
+fn write_xor_tree(
+    out: &mut String,
+    name: &str,
+    fanins: Vec<String>,
+    invert: bool,
+    taken: &mut HashSet<String>,
+) {
+    use std::fmt::Write as _;
+    let mut k = 0usize;
+    let mut level = fanins;
+    while level.len() > 2 {
+        let mut next = Vec::with_capacity(level.len().div_ceil(2));
+        for pair in level.chunks(2) {
+            match pair {
+                [a, b] => {
+                    let t = loop {
+                        let t = format!("{name}_xor{k}");
+                        k += 1;
+                        if taken.insert(t.clone()) {
+                            break t;
+                        }
+                    };
+                    let _ = writeln!(out, ".names {a} {b} {t}\n01 1\n10 1");
+                    next.push(t);
+                }
+                _ => next.extend(pair.iter().cloned()),
+            }
+        }
+        level = next;
+    }
+    let rows = if invert { "00 1\n11 1" } else { "01 1\n10 1" };
+    let _ = writeln!(out, ".names {} {name}\n{rows}", level.join(" "));
 }
 
 #[cfg(test)]
@@ -474,5 +532,50 @@ mod tests {
         let net2 = parse_blif(&text).unwrap();
         let p = [0xAAAA, 0xCCCC, 0xF0F0];
         assert_eq!(net.simulate(&p), net2.simulate(&p));
+    }
+
+    /// A 32-input XOR and XNOR, with an input named like the tree's first
+    /// internal signal: both must write in size linear in the fanin count
+    /// and read back to the same functions.
+    #[test]
+    fn wide_xor_writes_a_linear_tree_and_roundtrips() {
+        use crate::network::GateKind;
+        use crate::verify::equiv_sim;
+        let mut net = Network::new("wide");
+        let mut ins: Vec<SignalId> = (0..31).map(|i| net.add_input(format!("i{i}"))).collect();
+        ins.push(net.add_input("x_xor0"));
+        let x = net.add_gate(GateKind::Xor, ins.clone());
+        net.set_signal_name(x, "x");
+        let y = net.add_gate(GateKind::Xnor, ins.clone());
+        net.set_output("x", x);
+        net.set_output("y", y);
+        let text = write_blif(&net);
+        // 2 × 31 two-input blocks of 3 lines each, plus the header lines:
+        // nowhere near the 2^31 rows of a flat cover.
+        assert!(text.lines().count() < 250, "{} lines", text.lines().count());
+        let redefines = |l: &str| l.starts_with(".names") && l.ends_with(" x_xor0");
+        assert!(!text.lines().any(redefines), "tree reused an input's name");
+        let back = parse_blif(&text).expect("wide XOR must round-trip");
+        assert!(equiv_sim(&net, &back, 16, 0x5EED).is_ok());
+        // Exactly one input flipped flips both outputs.
+        let zeros = vec![0u64; 32];
+        let mut one = zeros.clone();
+        one[7] = u64::MAX;
+        assert_eq!(back.simulate(&zeros), vec![0, u64::MAX]);
+        assert_eq!(back.simulate(&one), vec![u64::MAX, 0]);
+    }
+
+    /// Gates at the reader's cover limit keep their flat cover.
+    #[test]
+    fn xor_at_cover_limit_keeps_flat_cover() {
+        use crate::network::GateKind;
+        let mut net = Network::new("flat");
+        let ins: Vec<SignalId> = (0..16).map(|i| net.add_input(format!("i{i}"))).collect();
+        let x = net.add_gate(GateKind::Xor, ins);
+        net.set_output("x", x);
+        let text = write_blif(&net);
+        assert!(!text.contains("_xor"));
+        let rows = text.lines().filter(|l| l.len() == 18 && l.ends_with(" 1"));
+        assert_eq!(rows.count(), 1 << 15);
     }
 }
