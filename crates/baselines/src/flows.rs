@@ -1,14 +1,15 @@
 //! Complete baseline synthesis flows, matching the comparison set of
 //! Table II: the ABC-like AIG flow and the Design-Compiler-like
-//! multi-strategy flow (a simulation of a commercial best-of-breed
-//! optimizer — DC itself is proprietary; see DESIGN.md §3).
+//! multi-strategy flow. DC itself is proprietary, so the stand-in keeps
+//! the one trait the paper relies on: it picks the best of several
+//! strong optimizations but never infers majority cells.
 
 use crate::balance::abc_flow;
 use bdsmaj::{bds_maj, bds_pga, BdsMajOptions};
 use decomp::EngineOptions;
 use logic::{GateKind, Network, SignalId};
 use std::collections::HashMap;
-use techmap::{map_network, report, Library, MappedNetwork};
+use techmap::{map_network, report, Library, MappedNetwork, MappedReport};
 
 /// Re-expresses every MAJ-3 gate as `ab + c·(a⊕b)` — the best a flow can
 /// do when it understands XOR but does not infer majority cells, which is
@@ -56,42 +57,73 @@ pub enum DcStrategy {
     BddMajFree,
 }
 
-/// Result of the DC-like flow.
+/// One candidate of the DC-like flow — an optimized network with its
+/// mapping and report — and, after [`dc_select`], the flow's result.
 #[derive(Clone, Debug)]
 pub struct DcResult {
-    /// The chosen optimized network (before mapping).
+    /// The optimized network (before mapping).
     pub network: Network,
     /// Which internal strategy produced it.
     pub strategy: DcStrategy,
+    /// `network` mapped onto the library cells.
+    pub mapped: MappedNetwork,
+    /// Area, gate count and delay of `mapped` under the library.
+    pub report: MappedReport,
+}
+
+impl DcResult {
+    /// Maps `network` and reports it under `lib`, making it a candidate
+    /// for [`dc_select`].
+    pub fn candidate(strategy: DcStrategy, network: Network, lib: &Library) -> DcResult {
+        let mapped = map_network(&network);
+        let report = report(&mapped, lib);
+        DcResult {
+            network,
+            strategy,
+            mapped,
+            report,
+        }
+    }
+}
+
+/// The DC-like flow's selection step: keeps the smallest-area candidate.
+/// Strict `<` on area, so the earliest candidate wins a tie; callers pass
+/// them in the order AigBased, BddBased, BddMajFree.
+pub fn dc_select(candidates: impl IntoIterator<Item = DcResult>) -> DcResult {
+    candidates
+        .into_iter()
+        .reduce(|best, c| {
+            if c.report.area < best.report.area {
+                c
+            } else {
+                best
+            }
+        })
+        .expect("at least one DC candidate")
 }
 
 /// The Design-Compiler-like flow (`compile -area -effort high` stand-in):
 /// runs several optimization strategies — AIG restructuring, BDD
 /// decomposition, and an XOR-preserving (but majority-blind) variant of
 /// the strongest decomposition — maps each, and keeps the smallest-area
-/// result.
+/// result ([`dc_select`]). The decompositions use default engine options.
+/// The Table II harness does not call this: it feeds the row's own ABC,
+/// BDS-PGA and MAJ-free BDS-MAJ mappings to [`dc_select`], so there the
+/// DC column follows the row's engine options and budget.
 pub fn dc_flow(net: &Network, lib: &Library) -> DcResult {
-    let candidates = [
-        (DcStrategy::AigBased, abc_flow(net)),
-        (
+    dc_select([
+        DcResult::candidate(DcStrategy::AigBased, abc_flow(net), lib),
+        DcResult::candidate(
             DcStrategy::BddBased,
             bds_pga(net, &EngineOptions::default()).network,
+            lib,
         ),
-        (
+        DcResult::candidate(
             DcStrategy::BddMajFree,
             expand_maj(bds_maj(net, &BdsMajOptions::default()).network()),
+            lib,
         ),
-    ];
-    let mut best: Option<(f64, DcStrategy, Network)> = None;
-    for (strategy, candidate) in candidates {
-        let mapped = map_network(&candidate);
-        let area = report(&mapped, lib).area;
-        if best.as_ref().is_none_or(|(a, _, _)| area < *a) {
-            best = Some((area, strategy, candidate));
-        }
-    }
-    let (_, strategy, network) = best.expect("three candidates");
-    DcResult { network, strategy }
+    ])
 }
 
 /// Convenience: run the ABC-like flow and map it.
@@ -156,6 +188,27 @@ mod tests {
             dc_area <= abc_area + 1e-9,
             "best-of flow cannot lose to one of its candidates"
         );
+    }
+
+    /// Equal areas keep the earliest candidate; a strictly smaller one
+    /// later in the order replaces it.
+    #[test]
+    fn dc_select_keeps_the_first_of_equal_areas() {
+        let lib = Library::cmos22();
+        let net = carry_network();
+        let candidate = |s| DcResult::candidate(s, net.clone(), &lib);
+        let tie = dc_select([
+            candidate(DcStrategy::AigBased),
+            candidate(DcStrategy::BddBased),
+        ]);
+        assert_eq!(tie.strategy, DcStrategy::AigBased);
+        // MAJ-3 cells are smaller than their AND/XOR/OR re-expression.
+        let bigger = DcResult::candidate(DcStrategy::AigBased, expand_maj(&net), &lib);
+        let smaller = candidate(DcStrategy::BddBased);
+        assert!(smaller.report.area < bigger.report.area);
+        let won = dc_select([bigger, smaller]);
+        assert_eq!(won.strategy, DcStrategy::BddBased);
+        assert_eq!(won.report, report(&won.mapped, &lib));
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! AIG flow (structural hashing + balancing, blind to XOR/MAJ structure)
 //! and the Design-Compiler-like multi-strategy flow (best-of-breed area
 //! optimization without majority inference). Both are substitutes for
-//! tools that are closed-source or unavailable offline — see DESIGN.md §3.
+//! tools that are closed-source or unavailable offline; each keeps the
+//! property the paper's comparison hinges on — neither flow exploits
+//! majority logic.
 //!
 //! # Example
 //!
@@ -28,4 +30,4 @@ mod refactor;
 
 pub use aig::{Aig, AigRef};
 pub use balance::abc_flow;
-pub use flows::{abc_mapped, dc_flow, expand_maj, DcResult, DcStrategy};
+pub use flows::{abc_mapped, dc_flow, dc_select, expand_maj, DcResult, DcStrategy};

@@ -1,7 +1,7 @@
-//! Ablation benchmarks for the design choices DESIGN.md §7 calls out:
-//! runtime impact of the m-dominator candidate cap, the balancing
-//! iteration limit, the generalized-cofactor operator and the partition
-//! support bound. (The quality side of the ablation is printed by
+//! Ablation benchmarks for the engine knobs the paper fixes by hand or
+//! leaves open: runtime impact of the m-dominator candidate cap, the
+//! balancing iteration limit, the generalized-cofactor operator and the
+//! partition support bound. (The quality side of the ablation is printed by
 //! `cargo run -p bench --bin ablation`.)
 
 use bdsmaj::{bds_maj, BdsMajOptions, CofactorOp};

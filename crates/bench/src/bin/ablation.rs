@@ -1,6 +1,8 @@
-//! Quality-side ablation of the design choices listed in DESIGN.md §7:
-//! prints decomposed node counts under parameter sweeps so the impact of
-//! each knob on result quality (not just runtime) is visible.
+//! Quality-side ablation of the engine knobs the paper fixes by hand or
+//! leaves open (m-dominator candidate cap, balancing iteration limit,
+//! sizing factor k, cofactor operator, partition support bound): prints
+//! decomposed node counts under parameter sweeps so the impact of each
+//! knob on result quality (not just runtime) is visible.
 
 use bdsmaj::{bds_maj, BdsMajOptions, CofactorOp};
 use circuits::suite::benchmark;

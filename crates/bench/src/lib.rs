@@ -21,15 +21,15 @@
 //! total threads no matter how the work nests (see [`pool`]'s module
 //! docs for the accounting).
 
-use baselines::{abc_flow, dc_flow};
+use baselines::{abc_flow, dc_select, expand_maj, DcResult, DcStrategy};
 use bdd::ResourceLimits;
 use bdsmaj::{bds_maj, bds_pga, BdsMajOptions};
 use circuits::suite::{paper_suite, Benchmark, Group};
 use decomp::EngineOptions;
 pub use decomp::ReorderPolicy;
-use logic::{equiv_sim, GateCounts, Network};
+use logic::{equiv_sim, GateCounts};
 use std::time::{Duration, Instant};
-use techmap::{map_network, report, Library, MappedReport};
+use techmap::{map_network, report, Library, MappedNetwork, MappedReport};
 
 pub mod pool;
 
@@ -495,13 +495,17 @@ pub fn table2_row(bench: &Benchmark, lib: &Library) -> Table2Row {
 }
 
 /// Runs one benchmark of Table II under explicit engine options.
+///
+/// Each distinct network is built and mapped once. The DC column is
+/// [`baselines::dc_select`] over the row's own ABC and BDS-PGA results and
+/// the MAJ-free re-expression of its BDS-MAJ result, so the DC column
+/// follows `engine` (reordering policy and budget) like the other three;
+/// under default options it equals [`baselines::dc_flow`]. The winner's
+/// existing mapping and equivalence check supply the DC report and its
+/// share of `verified`.
 pub fn table2_row_with(bench: &Benchmark, lib: &Library, engine: &EngineOptions) -> Table2Row {
     let net = &bench.network;
-    let synth = |optimized: &Network| {
-        let mapped = map_network(optimized);
-        let ok = equiv_sim(net, &mapped.network, 4, 0xDA13).is_ok();
-        (report(&mapped, lib), ok)
-    };
+    let verify = |mapped: &MappedNetwork| equiv_sim(net, &mapped.network, 4, 0xDA13).is_ok();
     let maj_options = BdsMajOptions {
         engine: engine.clone(),
         ..BdsMajOptions::default()
@@ -513,18 +517,27 @@ pub fn table2_row_with(bench: &Benchmark, lib: &Library, engine: &EngineOptions)
     } else {
         RowStatus::Ok
     };
-    let (r_maj, ok1) = synth(with.network());
-    let (r_pga, ok2) = synth(&without.network);
-    let (r_abc, ok3) = synth(&abc_flow(net));
-    let (r_dc, ok4) = synth(&dc_flow(net, lib).network);
+    let maj_mapped = map_network(with.network());
+    let ok_maj = verify(&maj_mapped);
+    let abc = DcResult::candidate(DcStrategy::AigBased, abc_flow(net), lib);
+    let pga = DcResult::candidate(DcStrategy::BddBased, without.network, lib);
+    let (ok_abc, ok_pga) = (verify(&abc.mapped), verify(&pga.mapped));
+    let (r_abc, r_pga) = (abc.report.clone(), pga.report.clone());
+    let maj_free = DcResult::candidate(DcStrategy::BddMajFree, expand_maj(with.network()), lib);
+    let dc = dc_select([abc, pga, maj_free]);
+    let ok_dc = match dc.strategy {
+        DcStrategy::AigBased => ok_abc,
+        DcStrategy::BddBased => ok_pga,
+        DcStrategy::BddMajFree => verify(&dc.mapped),
+    };
     Table2Row {
         name: bench.name,
         group: bench.group,
-        bds_maj: r_maj,
+        bds_maj: report(&maj_mapped, lib),
         bds_pga: r_pga,
         abc: r_abc,
-        dc: r_dc,
-        verified: ok1 && ok2 && ok3 && ok4,
+        dc: dc.report,
+        verified: ok_maj && ok_abc && ok_pga && ok_dc,
         status,
     }
 }
@@ -584,6 +597,7 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use baselines::dc_flow;
 
     #[test]
     fn average_saving_basics() {
@@ -703,6 +717,53 @@ mod tests {
         assert!(row.abc.gate_count > 0);
     }
 
+    /// Under default options the row's shared-candidate DC column equals
+    /// mapping the standalone `dc_flow` result, and it is never worse in
+    /// area than the ABC or BDS-PGA column it chose among.
+    #[test]
+    fn table2_dc_column_equals_standalone_dc_flow() {
+        let lib = Library::cmos22();
+        for name in ["f51m", "alu2", "CLA 64 bit"] {
+            let bench = paper_suite().iter().find(|b| b.name == name).unwrap();
+            let row = table2_row(bench, &lib);
+            let standalone = report(&map_network(&dc_flow(&bench.network, &lib).network), &lib);
+            assert_eq!(row.dc, standalone, "{name}: DC column differs from dc_flow");
+            assert!(
+                row.dc.area <= row.abc.area.min(row.bds_pga.area),
+                "{name}: best-of DC lost to one of its candidates"
+            );
+        }
+    }
+
+    /// Under a starvation budget the DC column is chosen among the row's
+    /// own degraded networks, not rebuilt without the budget.
+    #[test]
+    fn budgeted_table2_row_dc_follows_the_budget() {
+        let lib = Library::cmos22();
+        let alu2 = paper_suite().iter().find(|b| b.name == "alu2").unwrap();
+        let budget = RowBudget {
+            step_limit: Some(2),
+            ..RowBudget::default()
+        };
+        let engine = budget.apply(&EngineOptions::default());
+        let row = table2_row_with(alu2, &lib, &engine);
+        assert_eq!(row.status, RowStatus::Degraded);
+        assert!(row.verified, "degraded rows must still be equivalent");
+        let maj_options = BdsMajOptions {
+            engine,
+            ..BdsMajOptions::default()
+        };
+        let maj = bds_maj(&alu2.network, &maj_options);
+        let maj_free = report(&map_network(&expand_maj(maj.network())), &lib);
+        // The degraded BDS-PGA network wins, and DC reports exactly it.
+        assert_eq!(row.dc, row.bds_pga);
+        assert!(row.dc.area < row.abc.area && row.dc.area < maj_free.area);
+        // Without the budget the AIG candidate would have won instead.
+        let unbudgeted = dc_flow(&alu2.network, &lib);
+        assert_eq!(unbudgeted.strategy, DcStrategy::AigBased);
+        assert_ne!(row.dc, unbudgeted.report);
+    }
+
     /// Determinism across worker counts: the parallel suite run must
     /// produce exactly the rows of the sequential one — same names,
     /// groups, gate counts and verified flags, in the same order.
@@ -717,6 +778,26 @@ mod tests {
             assert_eq!(a.group, b.group);
             assert_eq!(a.maj, b.maj, "{}: BDS-MAJ counts differ", a.name);
             assert_eq!(a.pga, b.pga, "{}: BDS-PGA counts differ", a.name);
+            assert_eq!(a.verified, b.verified, "{}: verified flag differs", a.name);
+        }
+    }
+
+    /// Table II counterpart of `table1_rows_identical_at_jobs_1_and_4`:
+    /// all four mapped reports and the verified flag match across widths.
+    #[test]
+    fn table2_rows_identical_at_jobs_1_and_2() {
+        let lib = Library::cmos22();
+        let engine = EngineOptions::default();
+        let seq = run_table2_jobs(&lib, &engine, 1);
+        let par = run_table2_jobs(&lib, &engine, 2);
+        assert_eq!(seq.len(), par.len());
+        for (a, b) in seq.iter().zip(&par) {
+            assert_eq!(a.name, b.name);
+            assert_eq!(a.group, b.group);
+            assert_eq!(a.bds_maj, b.bds_maj, "{}: BDS-MAJ report differs", a.name);
+            assert_eq!(a.bds_pga, b.bds_pga, "{}: BDS-PGA report differs", a.name);
+            assert_eq!(a.abc, b.abc, "{}: ABC report differs", a.name);
+            assert_eq!(a.dc, b.dc, "{}: DC report differs", a.name);
             assert_eq!(a.verified, b.verified, "{}: verified flag differs", a.name);
         }
     }

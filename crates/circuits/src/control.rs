@@ -3,7 +3,9 @@
 //!
 //! The MCNC `.blif` distribution is not redistributable here, so each named
 //! benchmark is replaced by a seeded pseudo-random circuit of the same
-//! functional family and comparable interface/size (see DESIGN.md §3). The
+//! functional family and comparable interface/size. These rows therefore
+//! match the MCNC circuits in size and style, not in exact function, and
+//! their numbers are not comparable cell by cell with the paper's. The
 //! generators are fully deterministic for a given seed.
 
 use logic::{GateKind, Network, SignalId, XorShift64};

@@ -2,10 +2,11 @@
 //!
 //! The MCNC `.blif` distribution is not available offline, so each paper
 //! benchmark is replaced by a structural generator of the same functional
-//! family and comparable size (see DESIGN.md §3/§4): arithmetic datapaths
-//! are generated exactly (multipliers, dividers, square root, ...) and
-//! control benchmarks are seeded pseudo-random circuits with matched
-//! interfaces.
+//! family and comparable size: arithmetic datapaths are generated exactly
+//! (multipliers, dividers, square root, ...) and control benchmarks are
+//! seeded pseudo-random circuits with matched interfaces. Exact datapaths
+//! keep the majority and XOR structure the paper's gains come from; the
+//! control stand-ins only need to match size and interface.
 //!
 //! # Example
 //!

@@ -1,7 +1,9 @@
 //! The standard-cell library of the paper's experiments: MAJ-3, XOR-2,
 //! XNOR-2, NAND-2, NOR-2 and INV, characterized in the spirit of a CMOS
-//! 22 nm node (PTM-derived relative figures; see DESIGN.md §3 for the
-//! calibration rationale).
+//! 22 nm node. The paper's characterized library is not public, so areas
+//! follow transistor counts and delays relative drive strengths (see
+//! [`Library::cmos22`]); Table II compares flows on one library, so only
+//! these ratios matter, not absolute µm² or ns.
 
 use std::fmt;
 

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 /// Area, gate count and critical-path delay of a mapped netlist.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MappedReport {
     /// Total cell area in µm².
     pub area: f64,

@@ -157,6 +157,8 @@ fn synthesize(
     let mut report_text = String::new();
     let _ = writeln!(report_text, "input : {}", net.stats());
     let mut flow_report = None;
+    // The DC flow maps its candidates to choose one; reuse the winner's.
+    let mut dc_mapped = None;
     let optimized = match args.flow.as_str() {
         "bds-maj" => {
             let r = bds_maj(net, &maj_options);
@@ -170,7 +172,11 @@ fn synthesize(
             r.network
         }
         "abc" => abc_flow(net),
-        "dc" => dc_flow(net, lib).network,
+        "dc" => {
+            let dc = dc_flow(net, lib);
+            dc_mapped = Some((dc.mapped, dc.report));
+            dc.network
+        }
         other => {
             return Err(format!(
                 "unknown flow {other}; use bds-maj, bds-pga, abc or dc"
@@ -199,8 +205,11 @@ fn synthesize(
         "verify: equivalence confirmed on 1088 random vectors"
     );
     let network = if args.map {
-        let mapped = map_network(&optimized);
-        let r = report(&mapped, lib);
+        let (mapped, r) = dc_mapped.unwrap_or_else(|| {
+            let mapped = map_network(&optimized);
+            let r = report(&mapped, lib);
+            (mapped, r)
+        });
         let _ = writeln!(report_text, "mapped: {r}");
         mapped.network
     } else {
