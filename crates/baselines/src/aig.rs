@@ -6,7 +6,7 @@
 //! the XOR/MAJ structure of datapath circuits, which is the contrast the
 //! paper's Table II demonstrates.
 
-use logic::{GateKind, Network, SignalId, TruthTable};
+use logic::{GateKind, Network, SignalId, SignalMap, TruthTable};
 use std::collections::HashMap;
 
 /// A (possibly complemented) edge to an AIG node.
@@ -74,7 +74,7 @@ enum AigNode {
 pub struct Aig {
     nodes: Vec<AigNode>,
     strash: HashMap<(AigRef, AigRef), u32>,
-    inputs: Vec<AigRef>,
+    inputs: Vec<(String, AigRef)>,
     outputs: Vec<(String, AigRef)>,
     levels: Vec<u32>,
     name: String,
@@ -93,13 +93,14 @@ impl Aig {
         }
     }
 
-    /// Adds a primary input.
-    pub fn add_input(&mut self) -> AigRef {
+    /// Adds a primary input named `name` ([`Self::to_network`] keeps the
+    /// name).
+    pub fn add_input(&mut self, name: impl Into<String>) -> AigRef {
         let id = self.nodes.len() as u32;
         self.nodes.push(AigNode::Input);
         self.levels.push(0);
         let r = AigRef::new(id, false);
-        self.inputs.push(r);
+        self.inputs.push((name.into(), r));
         r
     }
 
@@ -195,7 +196,12 @@ impl Aig {
 
     /// Edge of primary input `i` (declaration order).
     pub fn input_ref(&self, i: usize) -> AigRef {
-        self.inputs[i]
+        self.inputs[i].1
+    }
+
+    /// Name of primary input `i` (declaration order).
+    pub fn input_name(&self, i: usize) -> &str {
+        &self.inputs[i].0
     }
 
     /// Declared outputs.
@@ -216,17 +222,17 @@ impl Aig {
     /// the way in, like ABC's `strash`).
     pub fn from_network(net: &Network) -> Aig {
         let mut aig = Aig::new(net.name().to_string());
-        let mut map: HashMap<SignalId, AigRef> = HashMap::new();
+        let mut map = SignalMap::new(net);
         for &pi in net.inputs() {
-            let r = aig.add_input();
+            let r = aig.add_input(net.signal_name(pi));
             map.insert(pi, r);
         }
         for id in net.signals() {
-            if map.contains_key(&id) {
+            if map.contains(id) {
                 continue;
             }
             let node = net.node(id);
-            let kids: Vec<AigRef> = node.fanins.iter().map(|f| map[f]).collect();
+            let kids: Vec<AigRef> = node.fanins.iter().map(|&f| map[f]).collect();
             let r = match &node.kind {
                 GateKind::Input => unreachable!("inputs pre-mapped"),
                 GateKind::Const(b) => {
@@ -269,7 +275,7 @@ impl Aig {
             map.insert(id, r);
         }
         for (name, s) in net.outputs() {
-            aig.set_output(name.clone(), map[s]);
+            aig.set_output(name.clone(), map[*s]);
         }
         aig
     }
@@ -298,27 +304,27 @@ impl Aig {
         expand(self, table, kids, 0, 0)
     }
 
-    /// Converts back to a [`Network`] of AND/INV gates.
+    /// Converts back to a [`Network`] of AND/INV gates, with the inputs
+    /// named as they were added.
     pub fn to_network(&self) -> Network {
         let mut net = Network::new(self.name.clone());
-        let mut map: HashMap<u32, SignalId> = HashMap::new();
+        // AIG node -> signal, indexed by node; the constant node has none.
+        let mut map: Vec<Option<SignalId>> = vec![None; self.nodes.len()];
         let mut const_false: Option<SignalId> = None;
-        let mut inputs_added = 0usize;
+        let mut names = self.inputs.iter().map(|(name, _)| name);
         for (idx, node) in self.nodes.iter().enumerate() {
-            match node {
-                AigNode::Const => {}
+            map[idx] = match node {
+                AigNode::Const => None,
                 AigNode::Input => {
-                    let s = net.add_input(format!("i{inputs_added}"));
-                    inputs_added += 1;
-                    map.insert(idx as u32, s);
+                    let name = names.next().expect("one name per input node");
+                    Some(net.add_input(name.clone()))
                 }
                 AigNode::And(a, b) => {
                     let sa = edge_signal(&mut net, &map, &mut const_false, *a);
                     let sb = edge_signal(&mut net, &map, &mut const_false, *b);
-                    let s = net.add_gate(GateKind::And, vec![sa, sb]);
-                    map.insert(idx as u32, s);
+                    Some(net.add_gate(GateKind::And, vec![sa, sb]))
                 }
-            }
+            };
         }
         for (name, r) in &self.outputs {
             let s = edge_signal(&mut net, &map, &mut const_false, *r);
@@ -330,7 +336,7 @@ impl Aig {
 
 fn edge_signal(
     net: &mut Network,
-    map: &HashMap<u32, SignalId>,
+    map: &[Option<SignalId>],
     const_false: &mut Option<SignalId>,
     r: AigRef,
 ) -> SignalId {
@@ -341,7 +347,7 @@ fn edge_signal(
         }
         return net.add_gate_simplified(GateKind::Inv, vec![zero]);
     }
-    let base = map[&r.node()];
+    let base = map[r.node() as usize].expect("AND fanins precede the AND");
     if r.is_complemented() {
         net.add_gate_simplified(GateKind::Inv, vec![base])
     } else {
@@ -377,8 +383,8 @@ mod tests {
     #[test]
     fn strash_folds_identities() {
         let mut aig = Aig::new("t");
-        let a = aig.add_input();
-        let b = aig.add_input();
+        let a = aig.add_input("a");
+        let b = aig.add_input("b");
         assert_eq!(aig.and(a, AigRef::ZERO), AigRef::ZERO);
         assert_eq!(aig.and(a, AigRef::ONE), a);
         assert_eq!(aig.and(a, a), a);
@@ -391,8 +397,8 @@ mod tests {
     #[test]
     fn xor_costs_three_ands() {
         let mut aig = Aig::new("t");
-        let a = aig.add_input();
-        let b = aig.add_input();
+        let a = aig.add_input("a");
+        let b = aig.add_input("b");
         let x = aig.xor(a, b);
         aig.set_output("x", x);
         assert_eq!(aig.and_count(), 3, "XOR has no cheap AIG form");
@@ -401,9 +407,9 @@ mod tests {
     #[test]
     fn levels_track_depth() {
         let mut aig = Aig::new("t");
-        let a = aig.add_input();
-        let b = aig.add_input();
-        let c = aig.add_input();
+        let a = aig.add_input("a");
+        let b = aig.add_input("b");
+        let c = aig.add_input("c");
         let ab = aig.and(a, b);
         let abc = aig.and(ab, c);
         assert_eq!(aig.level(a), 0);

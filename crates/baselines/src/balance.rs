@@ -12,7 +12,7 @@ impl Aig {
         map.insert(AigRef::ONE, AigRef::ONE);
         let mut rebuilt = Aig::new(self.network_name());
         for i in 0..self.input_count() {
-            let r = rebuilt.add_input();
+            let r = rebuilt.add_input(self.input_name(i));
             map.insert(self.input_ref(i), r);
         }
         let outputs: Vec<(String, AigRef)> = self.outputs().to_vec();

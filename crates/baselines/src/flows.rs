@@ -7,8 +7,7 @@
 use crate::balance::abc_flow;
 use bdsmaj::{bds_maj, bds_pga, BdsMajOptions};
 use decomp::EngineOptions;
-use logic::{GateKind, Network, SignalId};
-use std::collections::HashMap;
+use logic::{GateKind, Network, SignalId, SignalMap};
 use techmap::{map_network, report, Library, MappedNetwork, MappedReport};
 
 /// Re-expresses every MAJ-3 gate as `ab + c·(a⊕b)` — the best a flow can
@@ -16,17 +15,17 @@ use techmap::{map_network, report, Library, MappedNetwork, MappedReport};
 /// the behaviour commercial tools showed in the paper's experiments.
 pub fn expand_maj(net: &Network) -> Network {
     let mut out = Network::new(net.name().to_string());
-    let mut map: HashMap<SignalId, SignalId> = HashMap::new();
+    let mut map = SignalMap::new(net);
     for &pi in net.inputs() {
         let s = out.add_input(net.signal_name(pi));
         map.insert(pi, s);
     }
     for id in net.signals() {
-        if map.contains_key(&id) {
+        if map.contains(id) {
             continue;
         }
         let node = net.node(id);
-        let fanins: Vec<SignalId> = node.fanins.iter().map(|f| map[f]).collect();
+        let fanins: Vec<SignalId> = node.fanins.iter().map(|&f| map[f]).collect();
         let s = match node.kind {
             GateKind::Input => unreachable!(),
             GateKind::Maj => {
@@ -41,7 +40,7 @@ pub fn expand_maj(net: &Network) -> Network {
         map.insert(id, s);
     }
     for (name, s) in net.outputs() {
-        out.set_output(name.clone(), map[s]);
+        out.set_output(name.clone(), map[*s]);
     }
     out.cleaned()
 }

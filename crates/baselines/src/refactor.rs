@@ -17,7 +17,7 @@ impl Aig {
         let mut map: HashMap<AigRef, AigRef> = HashMap::new();
         map.insert(AigRef::ONE, AigRef::ONE);
         for i in 0..self.input_count() {
-            let r = out.add_input();
+            let r = out.add_input(self.input_name(i));
             map.insert(self.input_ref(i), r);
         }
         let outputs: Vec<(String, AigRef)> = self.outputs().to_vec();
@@ -103,9 +103,9 @@ mod tests {
     fn factoring_reduces_and_count() {
         // a·b + a·c: 3 ANDs raw, 2 after factoring.
         let mut aig = Aig::new("t");
-        let a = aig.add_input();
-        let b = aig.add_input();
-        let c = aig.add_input();
+        let a = aig.add_input("a");
+        let b = aig.add_input("b");
+        let c = aig.add_input("c");
         let ab = aig.and(a, b);
         let ac = aig.and(a, c);
         let or = aig.or(ab, ac);
@@ -118,8 +118,8 @@ mod tests {
     #[test]
     fn factoring_is_idempotent_when_nothing_matches() {
         let mut aig = Aig::new("t");
-        let a = aig.add_input();
-        let b = aig.add_input();
+        let a = aig.add_input("a");
+        let b = aig.add_input("b");
         let ab = aig.and(a, b);
         aig.set_output("y", ab);
         let r = aig.refactored();

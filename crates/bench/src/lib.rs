@@ -764,9 +764,56 @@ mod tests {
         assert_ne!(row.dc, unbudgeted.report);
     }
 
+    /// Table I per row under default options: BDS-MAJ and BDS-PGA
+    /// decomposition totals (`maj_total`, `pga_total` of
+    /// `perfbench/expected/table1.tsv`), in suite order.
+    const TABLE1_TOTALS: [(&str, usize, usize); 17] = [
+        ("alu2", 60, 72),
+        ("C6288", 960, 1856),
+        ("C1355", 178, 178),
+        ("dalu", 224, 280),
+        ("apex6", 550, 550),
+        ("vda", 1052, 1055),
+        ("f51m", 73, 125),
+        ("misex3", 1139, 1141),
+        ("seq", 3697, 3697),
+        ("bigkey", 1636, 1655),
+        ("SQRT 32 bit", 832, 1312),
+        ("Wallace 16 bit", 1070, 1946),
+        ("CLA 64 bit", 488, 488),
+        ("Rev (1/X) 19 bit", 2925, 5442),
+        ("Div 18 bit", 1278, 2435),
+        ("MAC 16 bit", 1171, 2171),
+        ("4-Op ADD 16 bit", 142, 326),
+    ];
+
+    /// Table II per row under default options: mapped cell counts of
+    /// BDS-MAJ, BDS-PGA, ABC and DC (the `*_gates` columns of
+    /// `perfbench/expected/table2.tsv`), in suite order.
+    const TABLE2_GATES: [(&str, [usize; 4]); 17] = [
+        ("alu2", [120, 143, 128, 128]),
+        ("C6288", [1232, 3444, 4608, 2366]),
+        ("C1355", [236, 236, 1440, 236]),
+        ("dalu", [409, 542, 526, 486]),
+        ("apex6", [1112, 1112, 1204, 1112]),
+        ("vda", [2012, 2027, 1748, 1748]),
+        ("f51m", [97, 216, 333, 161]),
+        ("misex3", [2159, 2166, 1985, 1985]),
+        ("seq", [6951, 6951, 6473, 6473]),
+        ("bigkey", [3140, 3178, 3384, 3178]),
+        ("SQRT 32 bit", [1192, 2275, 6392, 1912]),
+        ("Wallace 16 bit", [1403, 3397, 4430, 2591]),
+        ("CLA 64 bit", [849, 849, 1307, 849]),
+        ("Rev (1/X) 19 bit", [4061, 9677, 19693, 7727]),
+        ("Div 18 bit", [1672, 4276, 10517, 3406]),
+        ("MAC 16 bit", [1508, 3786, 4954, 2863]),
+        ("4-Op ADD 16 bit", [145, 575, 795, 391]),
+    ];
+
     /// Determinism across worker counts: the parallel suite run must
     /// produce exactly the rows of the sequential one — same names,
-    /// groups, gate counts and verified flags, in the same order.
+    /// groups, gate counts and verified flags, in the same order. The
+    /// rows must also keep the pinned [`TABLE1_TOTALS`].
     #[test]
     fn table1_rows_identical_at_jobs_1_and_4() {
         let engine = EngineOptions::default();
@@ -780,10 +827,20 @@ mod tests {
             assert_eq!(a.pga, b.pga, "{}: BDS-PGA counts differ", a.name);
             assert_eq!(a.verified, b.verified, "{}: verified flag differs", a.name);
         }
+        assert_eq!(seq.len(), TABLE1_TOTALS.len());
+        for (row, &(name, maj, pga)) in seq.iter().zip(&TABLE1_TOTALS) {
+            assert_eq!(row.name, name);
+            assert!(row.verified, "{name}: not verified");
+            let totals = (row.maj.decomposition_total(), row.pga.decomposition_total());
+            assert_eq!(totals, (maj, pga), "{name}: (maj_total, pga_total) moved");
+        }
+        let maj_sum: usize = seq.iter().map(|r| r.maj.decomposition_total()).sum();
+        assert_eq!(maj_sum, 17475);
     }
 
     /// Table II counterpart of `table1_rows_identical_at_jobs_1_and_4`:
-    /// all four mapped reports and the verified flag match across widths.
+    /// all four mapped reports and the verified flag match across widths,
+    /// and the rows keep the pinned [`TABLE2_GATES`].
     #[test]
     fn table2_rows_identical_at_jobs_1_and_2() {
         let lib = Library::cmos22();
@@ -800,5 +857,17 @@ mod tests {
             assert_eq!(a.dc, b.dc, "{}: DC report differs", a.name);
             assert_eq!(a.verified, b.verified, "{}: verified flag differs", a.name);
         }
+        assert_eq!(seq.len(), TABLE2_GATES.len());
+        for (row, &(name, gates)) in seq.iter().zip(&TABLE2_GATES) {
+            assert_eq!(row.name, name);
+            assert!(row.verified, "{name}: not verified");
+            let got = [&row.bds_maj, &row.bds_pga, &row.abc, &row.dc].map(|r| r.gate_count);
+            assert_eq!(
+                got, gates,
+                "{name}: mapped gates (BDS-MAJ, BDS-PGA, ABC, DC) moved"
+            );
+        }
+        let maj_sum: usize = seq.iter().map(|r| r.bds_maj.gate_count).sum();
+        assert_eq!(maj_sum, 28298);
     }
 }

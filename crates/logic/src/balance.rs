@@ -7,8 +7,7 @@
 //! of AND / OR / XOR(+XNOR-polarity) gates are rebuilt pairing the
 //! shallowest operands first.
 
-use crate::network::{GateKind, Network, SignalId};
-use std::collections::HashMap;
+use crate::network::{GateKind, Network, SignalId, SignalMap};
 
 /// Returns a balanced copy of `net`: associative chains of AND, OR and
 /// XOR/XNOR gates are rebuilt as level-balanced trees. Other gate kinds
@@ -16,45 +15,57 @@ use std::collections::HashMap;
 pub fn balance_network(net: &Network) -> Network {
     let fanouts = net.fanout_counts();
     let mut out = Network::new(net.name().to_string());
-    let mut map: HashMap<SignalId, SignalId> = HashMap::new();
-    let mut level: HashMap<SignalId, usize> = HashMap::new();
+    let mut map = SignalMap::new(net);
     for &pi in net.inputs() {
-        let s = out.add_input(net.signal_name(pi));
-        map.insert(pi, s);
-        level.insert(s, 0);
+        map.insert(pi, out.add_input(net.signal_name(pi)));
     }
+    // Logic level of each `out` signal, kept as long as `out` (see `add`).
+    let mut level = vec![0; out.len()];
     // Mark chain-internal nodes: same-kind, single fanout. They are
     // absorbed into their consumer's leaf collection and never emitted.
     let absorbed = mark_absorbed(net, &fanouts);
     for id in net.signals() {
-        if map.contains_key(&id) || absorbed[id.index()] {
+        if map.contains(id) || absorbed[id.index()] {
             continue;
         }
         let node = net.node(id);
         let s = match chain_class(&node.kind) {
             Some(class) => {
                 let (leaves, odd) = collect_leaves(net, id, class, &absorbed);
-                let mapped: Vec<SignalId> = leaves.iter().map(|l| map[l]).collect();
+                let mapped: Vec<SignalId> = leaves.iter().map(|&l| map[l]).collect();
                 build_balanced(&mut out, class, mapped, odd, &mut level)
             }
             None => {
-                let fanins: Vec<SignalId> = node.fanins.iter().map(|f| map[f]).collect();
-                let lvl = fanins.iter().map(|f| level[f]).max().unwrap_or(0)
+                let fanins: Vec<SignalId> = node.fanins.iter().map(|&f| map[f]).collect();
+                let lvl = fanins.iter().map(|f| level[f.index()]).max().unwrap_or(0)
                     + usize::from(!matches!(
                         node.kind,
                         GateKind::Input | GateKind::Const(_) | GateKind::Buf
                     ));
-                let s = out.add_gate_simplified(node.kind.clone(), fanins);
-                level.insert(s, lvl.max(level.get(&s).copied().unwrap_or(0)));
+                let s = add(&mut out, &mut level, node.kind.clone(), fanins);
+                level[s.index()] = level[s.index()].max(lvl);
                 s
             }
         };
         map.insert(id, s);
     }
     for (name, sig) in net.outputs() {
-        out.set_output(name.clone(), map[sig]);
+        out.set_output(name.clone(), map[*sig]);
     }
     out.cleaned()
+}
+
+/// [`Network::add_gate_simplified`] that grows the level table to cover
+/// any node it adds, at level 0 until the caller sets it.
+fn add(
+    out: &mut Network,
+    level: &mut Vec<usize>,
+    kind: GateKind,
+    fanins: Vec<SignalId>,
+) -> SignalId {
+    let s = out.add_gate_simplified(kind, fanins);
+    level.resize(out.len(), 0);
+    s
 }
 
 /// The associative family a gate belongs to, if any.
@@ -131,13 +142,14 @@ fn collect_leaves(
 }
 
 /// Builds a level-balanced tree over the mapped leaves, pairing the two
-/// shallowest operands at each step (Huffman-style).
+/// shallowest operands at each step (Huffman-style). `level` is indexed by
+/// `out`'s signals.
 fn build_balanced(
     out: &mut Network,
     class: ChainClass,
     mut operands: Vec<SignalId>,
     odd: bool,
-    level: &mut HashMap<SignalId, usize>,
+    level: &mut Vec<usize>,
 ) -> SignalId {
     assert!(!operands.is_empty(), "chains have at least one leaf");
     let kind = |last: bool| match (class, odd && last) {
@@ -149,9 +161,8 @@ fn build_balanced(
     if operands.len() == 1 {
         let single = operands[0];
         return if odd && class == ChainClass::Parity {
-            let s = out.add_gate_simplified(GateKind::Inv, vec![single]);
-            let lvl = level.get(&single).copied().unwrap_or(0);
-            level.insert(s, lvl);
+            let s = add(out, level, GateKind::Inv, vec![single]);
+            level[s.index()] = level[single.index()];
             s
         } else {
             single
@@ -159,18 +170,13 @@ fn build_balanced(
     }
     while operands.len() > 1 {
         // Pick the two shallowest operands.
-        operands.sort_by_key(|s| std::cmp::Reverse(level.get(s).copied().unwrap_or(0)));
+        operands.sort_by_key(|s| std::cmp::Reverse(level[s.index()]));
         let a = operands.pop().expect("len > 1");
         let b = operands.pop().expect("len > 1");
         let last = operands.is_empty();
-        let s = out.add_gate_simplified(kind(last), vec![a, b]);
-        let lvl = level
-            .get(&a)
-            .copied()
-            .unwrap_or(0)
-            .max(level.get(&b).copied().unwrap_or(0))
-            + 1;
-        level.insert(s, lvl.max(level.get(&s).copied().unwrap_or(0)));
+        let s = add(out, level, kind(last), vec![a, b]);
+        let lvl = level[a.index()].max(level[b.index()]) + 1;
+        level[s.index()] = level[s.index()].max(lvl);
         operands.push(s);
     }
     operands.pop().expect("one root remains")

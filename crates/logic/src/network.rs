@@ -3,7 +3,6 @@
 //! technology mapper.
 
 use crate::truth::TruthTable;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a signal (equivalently, of the node driving it).
@@ -164,6 +163,11 @@ impl fmt::Display for GateCounts {
 /// Nodes are stored in topological order by construction: a node's fanins
 /// must already exist when the node is added. Primary outputs are named
 /// references to signals.
+///
+/// A [`SignalId`] is the dense arena index of its node (`0..len()`), so
+/// passes that rebuild a network keep their per-signal state (old-to-new
+/// signal maps, levels, liveness) in `Vec`s indexed by
+/// [`SignalId::index`] rather than in hash maps.
 ///
 /// # Example
 ///
@@ -442,11 +446,23 @@ impl Network {
     /// propagated, buffers bypassed, double inverters collapsed, and
     /// single-fanin AND/OR/XOR reduced to buffers (then removed).
     ///
-    /// The pass is iterated to a fixpoint, so simplifications that expose
-    /// further dead logic (e.g. a collapsed inverter pair) are fully
-    /// cleaned up.
+    /// The pass is repeated so that simplifications exposing further dead
+    /// logic (e.g. a collapsed inverter pair) are fully cleaned up. The
+    /// loop stops at the first of:
+    ///
+    /// - **identical pass:** the first pass returns its input unchanged
+    ///   (same inputs, outputs, and node kinds and fanins at every index).
+    ///   The pass depends on nothing else but the input and model names,
+    ///   which it copies, so a second pass would return the same network;
+    ///   the first pass's result is returned at once.
+    /// - **non-shrinking pass:** a later pass does not lower the node
+    ///   count; the network it was given is returned.
+    /// - **pass cap:** nine passes have run; the last result is returned.
     pub fn cleaned(&self) -> Network {
         let mut current = self.cleaned_once();
+        if current.same_structure(self) {
+            return current;
+        }
         for _ in 0..8 {
             let next = current.cleaned_once();
             if next.len() >= current.len() {
@@ -457,10 +473,21 @@ impl Network {
         current
     }
 
+    /// Whether `other` has the same inputs and outputs and, at every
+    /// index, the same node kind and fanins. Node names are not compared.
+    fn same_structure(&self, other: &Network) -> bool {
+        self.inputs == other.inputs
+            && self.outputs == other.outputs
+            && self.nodes.len() == other.nodes.len()
+            && self
+                .nodes
+                .iter()
+                .zip(&other.nodes)
+                .all(|(a, b)| a.kind == b.kind && a.fanins == b.fanins)
+    }
+
     fn cleaned_once(&self) -> Network {
         let mut out = Network::new(self.name.clone());
-        // old signal -> new signal
-        let mut map: HashMap<SignalId, SignalId> = HashMap::new();
         // Mark live nodes (reachable from outputs).
         let mut live = vec![false; self.nodes.len()];
         let mut stack: Vec<SignalId> = self.outputs.iter().map(|(_, s)| *s).collect();
@@ -471,38 +498,40 @@ impl Network {
             live[s.index()] = true;
             stack.extend(self.nodes[s.index()].fanins.iter().copied());
         }
+        // old signal -> new signal
+        let mut map = SignalMap::new(self);
         // Inputs are always preserved to keep the interface stable.
         for &pi in &self.inputs {
-            let name = self.signal_name(pi);
-            let new = out.add_input(name);
-            map.insert(pi, new);
+            map.insert(pi, out.add_input(self.signal_name(pi)));
         }
-        let mut const_cache: HashMap<bool, SignalId> = HashMap::new();
+        let mut const_cache = [None; 2];
         for (idx, node) in self.nodes.iter().enumerate() {
             let id = SignalId(idx as u32);
-            if !live[idx] || map.contains_key(&id) {
+            if !live[idx] || map.contains(id) {
                 continue;
             }
-            let fanins: Vec<SignalId> = node.fanins.iter().map(|f| map[f]).collect();
+            let fanins: Vec<SignalId> = node.fanins.iter().map(|&f| map[f]).collect();
             let new = out.rewrite_gate(node.kind.clone(), fanins, &mut const_cache);
             map.insert(id, new);
         }
         for (name, s) in &self.outputs {
-            out.set_output(name.clone(), map[s]);
+            out.set_output(name.clone(), map[*s]);
         }
         out
     }
 
     /// Adds a gate applying local simplifications; used by [`Self::cleaned`]
-    /// and by decomposition emitters.
+    /// and by decomposition emitters. `const_cache[v]` holds the
+    /// constant-`v` driver already added by this pass, if any.
     fn rewrite_gate(
         &mut self,
         kind: GateKind,
         fanins: Vec<SignalId>,
-        const_cache: &mut HashMap<bool, SignalId>,
+        const_cache: &mut [Option<SignalId>; 2],
     ) -> SignalId {
-        let mut get_const =
-            |net: &mut Network, v: bool| *const_cache.entry(v).or_insert_with(|| net.add_const(v));
+        let mut get_const = |net: &mut Network, v: bool| {
+            *const_cache[usize::from(v)].get_or_insert_with(|| net.add_const(v))
+        };
         let value_of = |net: &Network, s: SignalId| match net.node(s).kind {
             GateKind::Const(b) => Some(b),
             _ => None,
@@ -575,7 +604,7 @@ impl Network {
             }
             GateKind::Maj => {
                 let (a, b, c) = (fanins[0], fanins[1], fanins[2]);
-                let consts: Vec<Option<bool>> = fanins.iter().map(|&f| value_of(self, f)).collect();
+                let consts = [value_of(self, a), value_of(self, b), value_of(self, c)];
                 // Maj(1, b, c) = b + c; Maj(0, b, c) = b · c, and symmetric.
                 if a == b || consts[0].is_some() && consts[0] == consts[1] {
                     return a;
@@ -611,14 +640,50 @@ impl Network {
     /// Adds a gate with the same local simplifications as [`Self::cleaned`]
     /// applies (constant folding, unit reduction, duplicate removal).
     pub fn add_gate_simplified(&mut self, kind: GateKind, fanins: Vec<SignalId>) -> SignalId {
-        let mut cache = HashMap::new();
-        self.rewrite_gate(kind, fanins, &mut cache)
+        self.rewrite_gate(kind, fanins, &mut [None; 2])
+    }
+}
+
+/// Per-signal table of a pass over one [`Network`]: a slot per signal,
+/// indexed by [`SignalId::index`], so lookups never hash. Rebuilding
+/// passes keep their old-to-new signal map in one.
+#[derive(Clone, Debug)]
+pub struct SignalMap<T>(Vec<Option<T>>);
+
+impl<T: Copy> SignalMap<T> {
+    /// An empty table with a slot for every signal of `net`.
+    pub fn new(net: &Network) -> SignalMap<T> {
+        SignalMap(vec![None; net.len()])
+    }
+
+    /// Sets the entry of `s`.
+    pub fn insert(&mut self, s: SignalId, value: T) {
+        self.0[s.index()] = Some(value);
+    }
+
+    /// Whether `s` has an entry.
+    pub fn contains(&self, s: SignalId) -> bool {
+        self.0[s.index()].is_some()
+    }
+}
+
+impl<T> std::ops::Index<SignalId> for SignalMap<T> {
+    type Output = T;
+
+    /// The entry of `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` has no entry (a pass reads a fanin before mapping it).
+    fn index(&self, s: SignalId) -> &T {
+        self.0[s.index()].as_ref().expect("signal is mapped")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn full_adder() -> Network {
         let mut net = Network::new("fa");
@@ -740,5 +805,128 @@ mod tests {
         let net = full_adder();
         let r = std::panic::catch_unwind(|| net.simulate(&[0, 0]));
         assert!(r.is_err());
+    }
+
+    /// One random node: `op` picks the shape; `a`, `b` and `c` pick fanins
+    /// among the signals built so far (modulo their count), and `c` also
+    /// sets constant values and LUT tables.
+    type Recipe = (u8, usize, usize, usize);
+
+    /// Builds a network rich in what [`Network::cleaned`] simplifies:
+    /// constants, buffers, inverter pairs, duplicate and repeated XOR
+    /// fanins, MAJ/MUX with constant fanins, constant LUTs, and dead
+    /// logic (only `outputs` signals drawn from the back are observed).
+    fn cleanup_network(inputs: usize, recipes: &[Recipe], outputs: usize) -> Network {
+        let mut net = Network::new("cleanup");
+        let mut pool: Vec<SignalId> = (0..inputs)
+            .map(|i| net.add_input(format!("i{i}")))
+            .collect();
+        for &(op, a, b, c) in recipes {
+            let pick = |i: usize| pool[i % pool.len()];
+            let (x, y, z) = (pick(a), pick(b), pick(c));
+            let s = match op % 14 {
+                0 => net.add_const(c % 2 == 1),
+                1 => net.add_gate(GateKind::Buf, vec![x]),
+                2 => net.add_gate(GateKind::Inv, vec![x]),
+                3 => {
+                    let inv = net.add_gate(GateKind::Inv, vec![x]);
+                    net.add_gate(GateKind::Inv, vec![inv])
+                }
+                4 => net.add_gate(GateKind::And, vec![x, y, z]),
+                5 => net.add_gate(GateKind::Or, vec![x, y]),
+                6 => net.add_gate(GateKind::Xor, vec![x, y, x]),
+                7 => net.add_gate(GateKind::Xnor, vec![x, x]),
+                8 => net.add_gate(GateKind::Xor, vec![x, y, z]),
+                9 => {
+                    let k = net.add_const(c % 2 == 1);
+                    let mut fanins = vec![x, y];
+                    fanins.insert(c / 2 % 3, k);
+                    net.add_gate(GateKind::Maj, fanins)
+                }
+                10 => net.add_gate(GateKind::Maj, vec![x, y, z]),
+                11 => {
+                    let k = net.add_const(c % 2 == 1);
+                    net.add_gate(GateKind::Mux, vec![k, x, y])
+                }
+                12 => net.add_gate(GateKind::Mux, vec![x, y, z]),
+                _ => {
+                    // Constant tables for c % 8 == 0 or 7.
+                    let t =
+                        TruthTable::from_fn(2, |r| c % 8 == 7 || (c % 8 != 0 && c >> r & 1 == 1));
+                    net.add_gate(GateKind::Lut(t), vec![x, y])
+                }
+            };
+            pool.push(s);
+        }
+        let n = pool.len();
+        for (o, &s) in pool[n.saturating_sub(outputs)..].iter().enumerate() {
+            net.set_output(format!("o{o}"), s);
+        }
+        net
+    }
+
+    /// `cleaned()` without the identical-pass exit: every result is
+    /// confirmed by one more pass.
+    fn cleaned_always_confirm(net: &Network) -> Network {
+        let mut current = net.cleaned_once();
+        for _ in 0..8 {
+            let next = current.cleaned_once();
+            if next.len() >= current.len() {
+                return current;
+            }
+            current = next;
+        }
+        current
+    }
+
+    /// Equality of everything a network holds, node names included.
+    fn identical(a: &Network, b: &Network) -> bool {
+        a.name == b.name && a.inputs == b.inputs && a.outputs == b.outputs && a.nodes == b.nodes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The identical-pass exit returns exactly what the always-confirm
+        /// loop returns: on the raw network, on the same network with every
+        /// gate named, and on an already-clean network (where the exit
+        /// fires).
+        #[test]
+        fn cleaned_matches_the_always_confirm_loop(
+            recipes in proptest::collection::vec(
+                (any::<u8>(), any::<usize>(), any::<usize>(), any::<usize>()),
+                0..48,
+            ),
+            inputs in 1usize..6,
+            outputs in 1usize..6,
+        ) {
+            let net = cleanup_network(inputs, &recipes, outputs);
+            let mut named = net.clone();
+            for id in net.signals().skip(inputs) {
+                named.set_signal_name(id, format!("g{}", id.0));
+            }
+            let clean = cleaned_always_confirm(&net);
+            for (label, x) in [("raw", &net), ("named", &named), ("clean", &clean)] {
+                prop_assert!(
+                    identical(&x.cleaned(), &cleaned_always_confirm(x)),
+                    "{label}: cleaned() differs from the always-confirm loop"
+                );
+            }
+        }
+    }
+
+    /// The identical-pass exit fires on a clean network and returns a copy
+    /// that keeps the interface names but drops gate names, as a pass
+    /// does.
+    #[test]
+    fn cleaned_returns_a_clean_network_after_one_pass() {
+        let mut net = full_adder();
+        let sum = net.outputs()[0].1;
+        net.set_signal_name(sum, "s1");
+        assert!(net.cleaned_once().same_structure(&net));
+        let cleaned = net.cleaned();
+        assert!(identical(&cleaned, &cleaned_always_confirm(&net)));
+        assert_eq!(cleaned.signal_name(cleaned.inputs()[2]), "cin");
+        assert_eq!(cleaned.node(sum).name, None);
     }
 }

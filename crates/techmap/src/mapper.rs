@@ -5,7 +5,7 @@
 //! NAND/NOR/INV structures with inverter minimization.
 
 use crate::library::CellKind;
-use logic::{strash_key, BuildFxHasher, GateKind, Network, SignalId, TruthTable};
+use logic::{strash_key, BuildFxHasher, GateKind, Network, SignalId, SignalMap, TruthTable};
 use std::collections::HashMap;
 
 /// Structural-hash table over emitted cells, keyed by the allocation-free
@@ -56,15 +56,22 @@ impl MappedNetwork {
 
 /// Maps an optimized logic network onto the library cells.
 ///
-/// Accepts any [`Network`]; n-ary gates are binarized into balanced trees,
-/// MUX and LUT nodes are expanded into AND/OR structures first, then
-/// AND → NAND+INV and OR → NOR+INV with a double-inverter cleanup pass.
+/// Accepts any [`Network`] and runs three steps:
+///
+/// 1. **balance:** [`logic::balance_network`] rebuilds associative
+///    AND/OR/XOR chains as level-balanced trees, as the ABC mapper the
+///    paper uses does while covering.
+/// 2. **emit:** every node is emitted as library cells through a
+///    structural-hash table. MAJ, XOR and XNOR go to their own cells;
+///    n-ary gates are binarized into balanced trees; MUX and LUT nodes are
+///    expanded into AND/OR structures; AND becomes NAND+INV and OR becomes
+///    NOR+INV, with an inverter over an inverter folded on the spot.
+/// 3. **clean:** [`Network::cleaned`] drops the cells that folding left
+///    dead.
 pub fn map_network(net: &Network) -> MappedNetwork {
-    // The ABC mapper the paper uses restructures associative chains while
-    // covering; do the same before the cell assignment.
     let net = &logic::balance_network(net);
     let mut out = Network::new(format!("{}_mapped", net.name()));
-    let mut map: HashMap<SignalId, SignalId, BuildFxHasher> = HashMap::default();
+    let mut map = SignalMap::new(net);
     let mut strash = Strash::default();
 
     for &pi in net.inputs() {
@@ -72,16 +79,16 @@ pub fn map_network(net: &Network) -> MappedNetwork {
         map.insert(pi, new);
     }
     for id in net.signals() {
-        if map.contains_key(&id) {
+        if map.contains(id) {
             continue;
         }
         let node = net.node(id);
-        let fanins: Vec<SignalId> = node.fanins.iter().map(|f| map[f]).collect();
+        let fanins: Vec<SignalId> = node.fanins.iter().map(|&f| map[f]).collect();
         let mapped = emit_kind(&mut out, &node.kind, &fanins, &mut strash);
         map.insert(id, mapped);
     }
     for (name, s) in net.outputs() {
-        out.set_output(name.clone(), map[s]);
+        out.set_output(name.clone(), map[*s]);
     }
     MappedNetwork {
         network: out.cleaned(),
@@ -225,7 +232,7 @@ fn emit_lut(
         strash: &mut Strash,
         fixed: usize,
         row: usize,
-        consts: &mut HashMap<bool, SignalId>,
+        consts: &mut [Option<SignalId>; 2],
     ) -> (Option<bool>, Option<SignalId>) {
         if fixed == fanins.len() {
             return (Some(table.value(row)), None);
@@ -240,16 +247,10 @@ fn emit_lut(
             (Some(true), Some(false)) => (None, Some(sel)),
             (Some(false), Some(true)) => (None, Some(inv(net, strash, sel))),
             _ => {
-                let hi = hs.unwrap_or_else(|| {
-                    *consts
-                        .entry(hc.unwrap())
-                        .or_insert_with(|| net.add_const(hc.unwrap()))
-                });
-                let lo = ls.unwrap_or_else(|| {
-                    *consts
-                        .entry(lc.unwrap())
-                        .or_insert_with(|| net.add_const(lc.unwrap()))
-                });
+                let mut constant =
+                    |v: bool| *consts[usize::from(v)].get_or_insert_with(|| net.add_const(v));
+                let hi = hs.unwrap_or_else(|| constant(hc.unwrap()));
+                let lo = ls.unwrap_or_else(|| constant(lc.unwrap()));
                 let s = match (hc, lc) {
                     (Some(true), None) => {
                         // sel + lo
@@ -277,8 +278,7 @@ fn emit_lut(
             }
         }
     }
-    let mut consts = HashMap::new();
-    let (c, s) = expand(net, table, fanins, strash, 0, 0, &mut consts);
+    let (c, s) = expand(net, table, fanins, strash, 0, 0, &mut [None; 2]);
     match (c, s) {
         (Some(v), _) => net.add_const(v),
         (None, Some(s)) => s,
