@@ -280,28 +280,14 @@ impl Aig {
         aig
     }
 
-    /// Shannon expansion of a LUT over AIG edges.
+    /// Shannon expansion of a LUT over AIG edges, pruned at constant
+    /// cofactors ([`TruthTable::shannon`]): `mux(s, c, c)` folds to `c`
+    /// without creating a node, so the AIG is that of the full expansion.
     fn lut(&mut self, table: &TruthTable, kids: &[AigRef]) -> AigRef {
-        fn expand(
-            aig: &mut Aig,
-            table: &TruthTable,
-            kids: &[AigRef],
-            fixed: usize,
-            row: usize,
-        ) -> AigRef {
-            if fixed == kids.len() {
-                return if table.value(row) {
-                    AigRef::ONE
-                } else {
-                    AigRef::ZERO
-                };
-            }
-            let i = kids.len() - 1 - fixed;
-            let hi = expand(aig, table, kids, fixed + 1, row | 1 << i);
-            let lo = expand(aig, table, kids, fixed + 1, row);
-            aig.mux(kids[i], hi, lo)
-        }
-        expand(self, table, kids, 0, 0)
+        table.shannon(
+            |v| if v { AigRef::ONE } else { AigRef::ZERO },
+            |i, hi, lo| self.mux(kids[i], hi, lo),
+        )
     }
 
     /// Converts back to a [`Network`] of AND/INV gates, with the inputs
@@ -358,7 +344,7 @@ fn edge_signal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logic::equiv_sim;
+    use logic::{equiv_sim, XorShift64};
 
     fn sample() -> Network {
         let mut net = Network::new("s");
@@ -427,5 +413,73 @@ mod tests {
         net.set_output("y", l);
         let back = Aig::from_network(&net).to_network();
         assert_eq!(equiv_sim(&net, &back, 8, 2), Ok(()));
+    }
+
+    /// Random tables skewed toward sparse, one-hot-OR and half-constant
+    /// shapes, where the pruned walk cuts the most.
+    fn skewed_table(n: u32, seed: u64) -> TruthTable {
+        let mut rng = XorShift64::new(seed);
+        let mut next = move || rng.next_u64();
+        let rows = 1usize << n;
+        let dense: Vec<u64> = (0..TruthTable::word_count(n)).map(|_| next()).collect();
+        let dense = TruthTable::from_words(n, dense);
+        let (a, b) = (next() as usize, next() as usize);
+        match next() % 5 {
+            0 => TruthTable::from_fn(n, |r| r == a % rows || r == b % rows),
+            1 => TruthTable::from_fn(n, |r| !(r ^ a) & b & (rows - 1) != 0),
+            2 => TruthTable::from_fn(n, |r| r & (a % rows) == 0 && dense.value(r)),
+            3 => dense,
+            _ => TruthTable::constant(n, a & 1 == 1),
+        }
+    }
+
+    /// The unpruned `2^n` Shannon expansion over AIG edges.
+    fn full_lut(
+        aig: &mut Aig,
+        t: &TruthTable,
+        kids: &[AigRef],
+        fixed: usize,
+        row: usize,
+    ) -> AigRef {
+        if fixed == kids.len() {
+            return if t.value(row) {
+                AigRef::ONE
+            } else {
+                AigRef::ZERO
+            };
+        }
+        let i = kids.len() - 1 - fixed;
+        let hi = full_lut(aig, t, kids, fixed + 1, row | 1 << i);
+        let lo = full_lut(aig, t, kids, fixed + 1, row);
+        aig.mux(kids[i], hi, lo)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `Aig::lut` builds exactly the full expansion's nodes, in order,
+        /// over literal and AND operands.
+        #[test]
+        fn lut_matches_the_full_expansion(
+            n in 0u32..17,
+            seed in proptest::prelude::any::<u64>()
+        ) {
+            let t = skewed_table(n, seed);
+            let mut rng = XorShift64::new(!seed);
+            let mut aig = Aig::new("lut");
+            let inputs: Vec<AigRef> = (0..n + 2).map(|i| aig.add_input(format!("i{i}"))).collect();
+            let kids: Vec<AigRef> = (0..n as usize)
+                .map(|i| match rng.next_u64() % 3 {
+                    0 => inputs[i],
+                    1 => !inputs[i + 2],
+                    _ => aig.and(inputs[i], !inputs[i + 1]),
+                })
+                .collect();
+            let mut full = aig.clone();
+            let pruned_root = aig.lut(&t, &kids);
+            let full_root = full_lut(&mut full, &t, &kids, 0, 0);
+            proptest::prop_assert_eq!(pruned_root, full_root);
+            proptest::prop_assert_eq!(format!("{:?}", aig.nodes), format!("{:?}", full.nodes));
+        }
     }
 }

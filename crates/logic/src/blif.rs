@@ -5,7 +5,8 @@
 //! constructs (`.latch`) are rejected with an error.
 
 use crate::network::{GateKind, Network, SignalId};
-use crate::truth::TruthTable;
+use crate::truth::{TruthTable, VAR_MASKS};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
@@ -49,23 +50,83 @@ struct NamesBlock {
     line: usize,
     inputs: Vec<String>,
     output: String,
-    cubes: Vec<(String, char)>,
+    /// Cover rows: the row's cube and its output value.
+    cubes: Vec<(Cube, bool)>,
+}
+
+/// One cover row's input mask: the inputs it tests (`care`) and the values
+/// it requires there (`ones`, a subset of `care`); bit `i` is input `i`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Cube {
+    care: u32,
+    ones: u32,
+}
+
+impl Cube {
+    /// Parses a mask of `0`, `1` and `-`; `None` on any other character.
+    /// Bits past input 31 are dropped: covers that wide are rejected when
+    /// their node is built.
+    fn parse(mask: &str) -> Option<Cube> {
+        let mut cube = Cube::default();
+        for (i, ch) in mask.bytes().enumerate() {
+            let bit = u32::try_from(i)
+                .ok()
+                .and_then(|i| 1u32.checked_shl(i))
+                .unwrap_or(0);
+            match ch {
+                b'0' => cube.care |= bit,
+                b'1' => {
+                    cube.care |= bit;
+                    cube.ones |= bit;
+                }
+                b'-' => {}
+                _ => return None,
+            }
+        }
+        Some(cube)
+    }
+}
+
+/// What defines a signal name: primary input `k`, or `.names` block `b`
+/// (both in file order).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Definer {
+    Input(usize),
+    Block(usize),
 }
 
 /// Parses a BLIF model into a [`Network`].
 ///
 /// The nodes of the result are LUTs carrying the exact cover function, so a
-/// write/read round-trip is semantics-preserving.
+/// write/read round-trip is semantics-preserving. Each cover is filled a
+/// 64-row word at a time (see [`cover_table`]), and the blocks are ordered
+/// in time linear in the blocks and their fanins (see [`sweep_rounds`]).
 ///
 /// # Errors
 ///
-/// Returns [`ParseBlifError`] on malformed input, undefined signals,
-/// combinational cycles, or unsupported constructs.
+/// Returns [`ParseBlifError`] on malformed input (a cover mask character
+/// other than `0`, `1` or `-` included), a signal defined twice, undefined
+/// signals, combinational cycles, or unsupported constructs.
 pub fn parse_blif(text: &str) -> Result<Network, ParseBlifError> {
     let mut model_name = String::from("model");
     let mut input_names: Vec<String> = Vec::new();
     let mut output_names: Vec<(usize, String)> = Vec::new();
     let mut blocks: Vec<NamesBlock> = Vec::new();
+    // Every defined name, with the line of its definition.
+    let mut definers: HashMap<String, (usize, Definer)> = HashMap::new();
+    let mut define = |name: &str, line: usize, definer: Definer| match definers.entry(name.into()) {
+        Entry::Occupied(first) => Err(err(
+            line,
+            format!(
+                "signal {name} is defined twice (first at line {})",
+                first.get().0
+            ),
+        )),
+        Entry::Vacant(slot) => {
+            slot.insert((line, definer));
+            Ok(())
+        }
+    };
 
     // Join continuation lines ending in '\'.
     let mut logical_lines: Vec<(usize, String)> = Vec::new();
@@ -106,7 +167,10 @@ pub fn parse_blif(text: &str) -> Result<Network, ParseBlifError> {
                 idx += 1;
             }
             ".inputs" => {
-                input_names.extend(rest.iter().map(|s| s.to_string()));
+                for name in rest {
+                    define(name, lineno, Definer::Input(input_names.len()))?;
+                    input_names.push(name.to_string());
+                }
                 idx += 1;
             }
             ".outputs" => {
@@ -117,6 +181,7 @@ pub fn parse_blif(text: &str) -> Result<Network, ParseBlifError> {
                 let Some((output, input_toks)) = rest.split_last() else {
                     return Err(err(lineno, ".names requires at least an output"));
                 };
+                define(output, lineno, Definer::Block(blocks.len()))?;
                 let output = (*output).to_string();
                 let inputs: Vec<String> = input_toks.iter().map(|s| s.to_string()).collect();
                 let mut cubes = Vec::new();
@@ -128,24 +193,27 @@ pub fn parse_blif(text: &str) -> Result<Network, ParseBlifError> {
                     let parts: Vec<&str> = cline.split_whitespace().collect();
                     let (mask, value) = if inputs.is_empty() {
                         match parts.as_slice() {
-                            [value] => (String::new(), *value),
+                            [value] => ("", *value),
                             _ => return Err(err(*cl, "constant cover row must be a single token")),
                         }
                     } else {
                         match parts.as_slice() {
-                            [mask, value] => ((*mask).to_string(), *value),
+                            [mask, value] => (*mask, *value),
                             _ => return Err(err(*cl, "cover row must be `<mask> <value>`")),
                         }
                     };
                     if mask.len() != inputs.len() {
                         return Err(err(*cl, "cover mask width mismatch"));
                     }
+                    let Some(cube) = Cube::parse(mask) else {
+                        return Err(err(*cl, "cover mask characters must be 0, 1 or -"));
+                    };
                     let value = match value {
-                        "1" => '1',
-                        "0" => '0',
+                        "1" => true,
+                        "0" => false,
                         _ => return Err(err(*cl, "cover value must be 0 or 1")),
                     };
-                    cubes.push((mask, value));
+                    cubes.push((cube, value));
                     idx += 1;
                 }
                 blocks.push(NamesBlock {
@@ -164,78 +232,151 @@ pub fn parse_blif(text: &str) -> Result<Network, ParseBlifError> {
         }
     }
 
-    // Build the network: inputs first, then .names blocks in dependency order.
+    // Build the network: inputs first, then the .names blocks in the order
+    // of `sweep_rounds`.
+    let definer = |name: &String| definers.get(name).map(|&(_, d)| d);
+    let fanins: Vec<Vec<Option<Definer>>> = blocks
+        .iter()
+        .map(|b| b.inputs.iter().map(definer).collect())
+        .collect();
+    let rounds = sweep_rounds(&fanins);
     let mut net = Network::new(model_name);
-    let mut signals: HashMap<String, SignalId> = HashMap::new();
-    for name in &input_names {
-        let id = net.add_input(name.clone());
-        signals.insert(name.clone(), id);
+    let input_ids: Vec<SignalId> = input_names
+        .iter()
+        .map(|name| net.add_input(name.clone()))
+        .collect();
+    let mut block_ids: Vec<Option<SignalId>> = vec![None; blocks.len()];
+    let id_of = |block_ids: &[Option<SignalId>], d: Option<Definer>| match d? {
+        Definer::Input(k) => input_ids.get(k).copied(),
+        Definer::Block(b) => block_ids.get(b).copied().flatten(),
+    };
+    let last_round = rounds.iter().flatten().max().copied().unwrap_or(0);
+    let mut by_round: Vec<Vec<usize>> = vec![Vec::new(); last_round + 1];
+    for (b, round) in rounds.iter().enumerate() {
+        if let Some(bucket) = round.and_then(|r| by_round.get_mut(r)) {
+            bucket.push(b);
+        }
     }
-    let mut remaining: Vec<NamesBlock> = blocks;
-    while !remaining.is_empty() {
-        let mut progressed = false;
-        let mut still: Vec<NamesBlock> = Vec::new();
-        for block in remaining {
-            if block.inputs.iter().all(|i| signals.contains_key(i)) {
-                let id = build_names_node(&mut net, &signals, &block)?;
-                signals.insert(block.output.clone(), id);
-                progressed = true;
-            } else {
-                still.push(block);
-            }
+    for b in by_round.into_iter().flatten() {
+        let (Some(block), Some(block_fanins)) = (blocks.get(b), fanins.get(b)) else {
+            continue;
+        };
+        let ids: Vec<SignalId> = block_fanins
+            .iter()
+            .zip(&block.inputs)
+            .map(|(&d, name)| {
+                id_of(&block_ids, d)
+                    .ok_or_else(|| err(block.line, format!("undefined signal {name}")))
+            })
+            .collect::<Result<_, _>>()?;
+        let id = build_names_node(&mut net, ids, block)?;
+        if let Some(slot) = block_ids.get_mut(b) {
+            *slot = Some(id);
         }
-        if !progressed {
-            // No progress with blocks remaining means an undefined signal
-            // or a cycle; report the first stuck block. (If `still` were
-            // somehow empty the loop would just terminate.)
-            if let Some(block) = still.first() {
-                let missing: Vec<&str> = block
-                    .inputs
-                    .iter()
-                    .filter(|i| !signals.contains_key(*i))
-                    .map(|s| s.as_str())
-                    .collect();
-                return Err(err(
-                    block.line,
-                    format!(
-                        "undefined signal or combinational cycle (unresolved inputs of {}: {})",
-                        block.output,
-                        missing.join(", ")
-                    ),
-                ));
-            }
+    }
+    // A block that never resolves has an undefined signal or sits on (or
+    // behind) a cycle; report the first in file order.
+    if let Some(b) = rounds.iter().position(Option::is_none) {
+        if let (Some(block), Some(block_fanins)) = (blocks.get(b), fanins.get(b)) {
+            let missing: Vec<&str> = block_fanins
+                .iter()
+                .zip(&block.inputs)
+                .filter(|&(&d, _)| id_of(&block_ids, d).is_none())
+                .map(|(_, name)| name.as_str())
+                .collect();
+            return Err(err(
+                block.line,
+                format!(
+                    "undefined signal or combinational cycle (unresolved inputs of {}: {})",
+                    block.output,
+                    missing.join(", ")
+                ),
+            ));
         }
-        remaining = still;
     }
     for (lineno, name) in &output_names {
-        let id = *signals
+        let id = definers
             .get(name)
+            .and_then(|&(_, d)| id_of(&block_ids, Some(d)))
             .ok_or_else(|| err(*lineno, format!("undriven output {name}")))?;
         net.set_output(name.clone(), id);
     }
     Ok(net)
 }
 
+/// The round in which each `.names` block resolves when the blocks are
+/// swept in file order, each sweep building every block whose fanins are
+/// all defined; `None` for blocks that never resolve (an undefined fanin,
+/// or a cycle upstream). `fanins[b]` holds the definer of each input of
+/// block `b` (`None` when the name is undefined).
+///
+/// Primary inputs count as round 0, and a block resolves in the round
+/// `max(1, max over its fanins of round(definer) + [definer comes later
+/// in the file])`. Building the blocks by (round, file position) gives
+/// the sweep's node order without the sweeps, which are quadratic on
+/// files not written in topological order. The rounds are computed with
+/// a worklist, not recursion, so chains deeper than the thread stack are
+/// fine. Time is linear in the blocks and their fanins.
+fn sweep_rounds(fanins: &[Vec<Option<Definer>>]) -> Vec<Option<usize>> {
+    let mut rounds: Vec<Option<usize>> = vec![None; fanins.len()];
+    // Per block, the fanins not yet resolved; an undefined fanin never is.
+    let mut pending: Vec<usize> = vec![0; fanins.len()];
+    // Per block, the blocks reading its output (once per fanin slot).
+    let mut readers: Vec<Vec<usize>> = vec![Vec::new(); fanins.len()];
+    let mut ready: Vec<usize> = Vec::new();
+    for (b, (ins, count)) in fanins.iter().zip(pending.iter_mut()).enumerate() {
+        for d in ins {
+            match d {
+                Some(Definer::Input(_)) => {}
+                Some(Definer::Block(d)) => {
+                    *count += 1;
+                    if let Some(r) = readers.get_mut(*d) {
+                        r.push(b);
+                    }
+                }
+                None => *count += 1,
+            }
+        }
+        if *count == 0 {
+            ready.push(b);
+        }
+    }
+    while let Some(b) = ready.pop() {
+        let round = fanins
+            .get(b)
+            .into_iter()
+            .flatten()
+            .fold(1, |round, d| match d {
+                Some(Definer::Block(d)) => {
+                    let later = usize::from(*d > b);
+                    let r = rounds.get(*d).copied().flatten().unwrap_or(0);
+                    round.max(r + later)
+                }
+                _ => round,
+            });
+        if let Some(slot) = rounds.get_mut(b) {
+            *slot = Some(round);
+        }
+        for &reader in readers.get(b).into_iter().flatten() {
+            if let Some(count) = pending.get_mut(reader) {
+                *count -= 1;
+                if *count == 0 {
+                    ready.push(reader);
+                }
+            }
+        }
+    }
+    rounds
+}
+
 fn build_names_node(
     net: &mut Network,
-    signals: &HashMap<String, SignalId>,
+    fanins: Vec<SignalId>,
     block: &NamesBlock,
 ) -> Result<SignalId, ParseBlifError> {
-    // The caller only hands over blocks whose inputs all resolved, but a
-    // missing signal must surface as a parse error, not a panic.
-    let fanins: Vec<SignalId> = block
-        .inputs
-        .iter()
-        .map(|i| {
-            signals
-                .get(i)
-                .copied()
-                .ok_or_else(|| err(block.line, format!("undefined signal {i}")))
-        })
-        .collect::<Result<_, _>>()?;
     if block.inputs.is_empty() {
         // Constant node: the cover is a (possibly empty) list of "1"/"0".
-        let value = block.cubes.iter().any(|(_, v)| *v == '1');
+        let value = block.cubes.iter().any(|&(_, v)| v);
         let id = net.add_const(value);
         net.set_signal_name(id, block.output.clone());
         return Ok(id);
@@ -244,31 +385,46 @@ fn build_names_node(
         return Err(err(block.line, "cover with more than 16 inputs"));
     }
     // BLIF covers are either on-set or off-set, not mixed.
-    let polarities: Vec<char> = block.cubes.iter().map(|(_, v)| *v).collect();
-    let on_set = !polarities.contains(&'0');
-    if !on_set && polarities.contains(&'1') {
+    let on_set = block.cubes.iter().all(|&(_, v)| v);
+    if !on_set && block.cubes.iter().any(|&(_, v)| v) {
         return Err(err(block.line, "mixed on-set/off-set cover"));
     }
-    let masks: Vec<Vec<u8>> = block
-        .cubes
-        .iter()
-        .map(|(m, _)| m.bytes().collect())
-        .collect();
     let n = block.inputs.len() as u32;
-    let covered = |row: usize| -> bool {
-        masks.iter().any(|mask| {
-            mask.iter().enumerate().all(|(i, &ch)| match ch {
-                b'0' => row >> i & 1 == 0,
-                b'1' => row >> i & 1 == 1,
-                b'-' => true,
-                _ => false,
-            })
-        })
-    };
-    let table = TruthTable::from_fn(n, |row| covered(row) == on_set);
+    let table = cover_table(n, block.cubes.iter().map(|&(c, _)| c), on_set);
     let id = net.add_gate(GateKind::Lut(table), fanins);
     net.set_signal_name(id, block.output.clone());
     Ok(id)
+}
+
+/// The function of a cover over `n <= 16` inputs, filled a 64-row word at
+/// a time: each cube is the AND of its literals' projections, the cubes
+/// are ORed, and an off-set cover is complemented. Inputs 0–5 vary within
+/// a word (the [`VAR_MASKS`] patterns); inputs 6 and up are bits of the
+/// word index, so their literals select whole words.
+fn cover_table(n: u32, cubes: impl Iterator<Item = Cube>, on_set: bool) -> TruthTable {
+    let mut words = vec![0u64; TruthTable::word_count(n)];
+    for cube in cubes {
+        let mut within = u64::MAX;
+        for (i, mask) in VAR_MASKS.iter().enumerate() {
+            if cube.care >> i & 1 == 1 {
+                within &= if cube.ones >> i & 1 == 1 {
+                    *mask
+                } else {
+                    !*mask
+                };
+            }
+        }
+        let (care, ones) = ((cube.care >> 6) as usize, (cube.ones >> 6) as usize);
+        for (w, word) in words.iter_mut().enumerate() {
+            if w & care == ones {
+                *word |= within;
+            }
+        }
+    }
+    if !on_set {
+        words.iter_mut().for_each(|w| *w = !*w);
+    }
+    TruthTable::from_words(n, words)
 }
 
 /// Widest `.names` cover the reader accepts. The writer emits XOR/XNOR
@@ -577,5 +733,207 @@ mod tests {
         assert!(!text.contains("_xor"));
         let rows = text.lines().filter(|l| l.len() == 18 && l.ends_with(" 1"));
         assert_eq!(rows.count(), 1 << 15);
+    }
+
+    /// Row-by-row reference for a cover: a row is on when some cube's
+    /// mask matches it character by character.
+    fn reference_table(n: u32, masks: &[String], on_set: bool) -> TruthTable {
+        TruthTable::from_fn(n, |row| {
+            let covered = masks.iter().any(|mask| {
+                mask.bytes().enumerate().all(|(i, ch)| match ch {
+                    b'0' => row >> i & 1 == 0,
+                    b'1' => row >> i & 1 == 1,
+                    _ => true,
+                })
+            });
+            covered == on_set
+        })
+    }
+
+    /// The sweep the reader used to resolve `.names` blocks with, kept as
+    /// the reference for `sweep_rounds`: repeated passes over the
+    /// remaining blocks in file order, each building every block whose
+    /// inputs are all defined. Returns the outputs in build order, or the
+    /// first stuck block's line and unresolved inputs.
+    fn reference_sweep(
+        inputs: &[String],
+        blocks: &[(usize, Vec<String>, String)],
+    ) -> Result<Vec<String>, (usize, Vec<String>)> {
+        let mut signals: HashSet<String> = inputs.iter().cloned().collect();
+        let mut order = Vec::new();
+        let mut remaining: Vec<&(usize, Vec<String>, String)> = blocks.iter().collect();
+        while !remaining.is_empty() {
+            let mut progressed = false;
+            let mut still = Vec::new();
+            for block in remaining {
+                if block.1.iter().all(|i| signals.contains(i)) {
+                    signals.insert(block.2.clone());
+                    order.push(block.2.clone());
+                    progressed = true;
+                } else {
+                    still.push(block);
+                }
+            }
+            if !progressed {
+                let block = still[0];
+                let missing = block.1.iter().filter(|i| !signals.contains(*i));
+                return Err((block.0, missing.cloned().collect()));
+            }
+            remaining = still;
+        }
+        Ok(order)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The word-wise cover fill matches the row-by-row reference on
+        /// random on-set and off-set covers with don't-cares.
+        #[test]
+        fn cover_fill_matches_row_by_row(
+            n in 0u32..17,
+            seed in proptest::prelude::any::<u64>()
+        ) {
+            let mut rng = crate::XorShift64::new(seed);
+            let on_set = rng.next_u64() & 1 == 1;
+            // Dense masks for few cubes, sparse ones for many.
+            let cubes = rng.next_u64() % 12;
+            let dash_odds = 1 + rng.next_u64() % 4;
+            let masks: Vec<String> = (0..cubes)
+                .map(|_| {
+                    (0..n)
+                        .map(|_| match rng.next_u64() % (2 + dash_odds) {
+                            0 => '0',
+                            1 => '1',
+                            _ => '-',
+                        })
+                        .collect()
+                })
+                .collect();
+            let names: Vec<String> = (0..n).map(|i| format!("x{i}")).collect();
+            let value = if on_set { '1' } else { '0' };
+            let names = names.join(" ");
+            let mut text = format!(".model m\n.inputs {names}\n.outputs y\n.names {names} y\n");
+            for mask in &masks {
+                // Constant covers (no inputs) have the value alone.
+                text.push_str(format!("{mask} {value}").trim_start());
+                text.push('\n');
+            }
+            let net = parse_blif(&text).expect("valid cover");
+            // An empty cover is constant 0 whatever its polarity.
+            let expected = reference_table(n, &masks, on_set || masks.is_empty());
+            let y = net.outputs()[0].1;
+            match &net.node(y).kind {
+                GateKind::Lut(table) => proptest::prop_assert_eq!(table, &expected),
+                // A cover without inputs is a constant node.
+                GateKind::Const(v) if n == 0 => {
+                    proptest::prop_assert_eq!(Some(*v), expected.as_constant())
+                }
+                other => proptest::prop_assert!(false, "unexpected node {other:?}"),
+            }
+        }
+
+        /// Blocks build in the old sweep's order, and files it rejects fail
+        /// at the same block with the same unresolved inputs, on shuffled
+        /// block orders with undefined signals and cycles.
+        #[test]
+        fn resolution_matches_the_sweep(
+            blocks in 1usize..40,
+            seed in proptest::prelude::any::<u64>()
+        ) {
+            let mut rng = crate::XorShift64::new(seed);
+            let inputs: Vec<String> =
+                (0..1 + rng.next_u64() % 4).map(|i| format!("i{i}")).collect();
+            // Block k reads the inputs and earlier blocks; in a third of
+            // the files it may read any block (closing cycles), in another
+            // third, rarely, an undefined name.
+            let mode = rng.next_u64() % 3;
+            let cyclic = mode == 1;
+            let mut defs: Vec<(Vec<String>, String)> = (0..blocks)
+                .map(|k| {
+                    let fanins = (0..rng.next_u64() % 4)
+                        .map(|_| {
+                            let pick = rng.next_u64();
+                            match pick % 16 {
+                                0 if mode == 2 => "ghost".to_string(),
+                                0..=5 => inputs[(pick >> 8) as usize % inputs.len()].clone(),
+                                _ if k > 0 || cyclic => {
+                                    let span = if cyclic { blocks } else { k };
+                                    format!("s{}", (pick >> 8) as usize % span)
+                                }
+                                _ => inputs[0].clone(),
+                            }
+                        })
+                        .collect();
+                    (fanins, format!("s{k}"))
+                })
+                .collect();
+            // Shuffle the file order.
+            for i in (1..defs.len()).rev() {
+                defs.swap(i, rng.next_u64() as usize % (i + 1));
+            }
+            let mut text = format!(".model m\n.inputs {}\n.outputs s0\n", inputs.join(" "));
+            let mut located = Vec::new();
+            for (fanins, out) in &defs {
+                let line = text.lines().count() + 1;
+                let header: Vec<&str> = fanins.iter().chain([out]).map(String::as_str).collect();
+                text.push_str(&format!(".names {}\n", header.join(" ")));
+                if !fanins.is_empty() {
+                    text.push_str(&format!("{} 1\n", "1".repeat(fanins.len())));
+                }
+                located.push((line, fanins.clone(), out.clone()));
+            }
+            match (reference_sweep(&inputs, &located), parse_blif(&text)) {
+                (Ok(order), Ok(net)) => {
+                    let built: Vec<String> = net
+                        .signals()
+                        .filter(|&s| !net.inputs().contains(&s))
+                        .map(|s| net.signal_name(s))
+                        .collect();
+                    proptest::prop_assert_eq!(built, order);
+                }
+                (Err((line, missing)), Err(e)) => {
+                    proptest::prop_assert_eq!(e.line(), line);
+                    let tail = format!(": {})", missing.join(", "));
+                    proptest::prop_assert!(e.to_string().ends_with(&tail), "{e}");
+                }
+                (want, got) => {
+                    let got = got.map(|net| net.len());
+                    proptest::prop_assert!(false, "sweep {want:?}, reader {got:?}")
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn second_definition_is_an_error() {
+        let twice_input = ".model m\n.inputs a b\n.inputs a\n.outputs b\n.end\n";
+        let e = parse_blif(twice_input).unwrap_err();
+        assert_eq!(e.line(), 3, "{e}");
+        assert!(
+            e.to_string().contains("defined twice (first at line 2)"),
+            "{e}"
+        );
+        let twice_names =
+            ".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n.names a y\n0 1\n.end\n";
+        let e = parse_blif(twice_names).unwrap_err();
+        assert_eq!(e.line(), 6, "{e}");
+        let names_over_input = ".model m\n.inputs a\n.outputs a\n.names a\n1\n.end\n";
+        assert_eq!(parse_blif(names_over_input).unwrap_err().line(), 4);
+    }
+
+    /// A buffer chain written back to front resolves in one pass over the
+    /// blocks; the sweep needed one round per block.
+    #[test]
+    fn reverse_ordered_chain_resolves() {
+        let len = 20_000;
+        let mut text = String::from(".model chain\n.inputs s0\n");
+        text.push_str(&format!(".outputs s{len}\n"));
+        for k in (1..=len).rev() {
+            text.push_str(&format!(".names s{} s{k}\n1 1\n", k - 1));
+        }
+        let net = parse_blif(&text).expect("chain");
+        assert_eq!(net.len(), len + 1);
+        assert_eq!(net.simulate(&[0xF0]), vec![0xF0]);
     }
 }

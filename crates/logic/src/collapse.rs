@@ -392,27 +392,13 @@ pub fn try_apply_gate(
         GateKind::Xnor => !manager.try_par_xor_all(kids.iter().copied())?,
         GateKind::Maj => manager.try_maj(kids[0], kids[1], kids[2])?,
         GateKind::Mux => manager.try_par_ite(kids[0], kids[1], kids[2])?,
-        GateKind::Lut(table) => {
-            // Shannon expansion over the LUT inputs, deepest variable first.
-            fn expand(
-                manager: &mut Manager,
-                table: &crate::truth::TruthTable,
-                kids: &[Ref],
-                fixed: usize,
-                row: usize,
-            ) -> Result<Ref, LimitExceeded> {
-                if fixed == kids.len() {
-                    return Ok(manager.constant(table.value(row)));
-                }
-                // Fix inputs from the last down to the first so the
-                // recursion depth matches the fanin count.
-                let i = kids.len() - 1 - fixed;
-                let hi = expand(manager, table, kids, fixed + 1, row | 1 << i)?;
-                let lo = expand(manager, table, kids, fixed + 1, row)?;
-                manager.try_ite(kids[i], hi, lo)
-            }
-            expand(manager, table, kids, 0, 0)?
-        }
+        // Shannon expansion over the LUT inputs, pruned where a cofactor
+        // is constant: `ite(k, c, c) = c` creates nothing, so the BDD and
+        // its node order are those of the full expansion.
+        GateKind::Lut(table) => table.try_shannon(
+            |v| if v { Ref::ONE } else { Ref::ZERO },
+            |i, hi, lo| manager.try_ite(kids[i], hi, lo),
+        )?,
     })
 }
 
@@ -420,6 +406,8 @@ pub fn try_apply_gate(
 mod tests {
     use super::*;
     use crate::network::GateKind;
+    use crate::truth::tests::skewed_table;
+    use crate::truth::TruthTable;
 
     fn adder_net(bits: u32) -> Network {
         let mut net = Network::new("ripple");
@@ -579,5 +567,66 @@ mod tests {
         let f = apply_gate(&mut m, &GateKind::Lut(t), &[a, b, c]);
         let g = m.maj(a, b, c);
         assert_eq!(f, g);
+    }
+
+    /// LUT operands that are not plain variables: literals, ANDs and XORs
+    /// over `n + 2` variables, the same in every manager built from `seed`.
+    fn lut_operands(m: &mut Manager, n: u32, seed: u64) -> Vec<Ref> {
+        let mut rng = crate::XorShift64::new(seed);
+        (0..n)
+            .map(|_| {
+                let (x, y) = (
+                    rng.next_u64() % u64::from(n + 2),
+                    rng.next_u64() % u64::from(n + 2),
+                );
+                let (x, y) = (m.var(x as u32), m.var(y as u32));
+                match rng.next_u64() % 4 {
+                    0 => x,
+                    1 => !x,
+                    2 => m.and(x, !y),
+                    _ => m.xor(x, y),
+                }
+            })
+            .collect()
+    }
+
+    /// The unpruned `2^n` Shannon expansion over BDD operands.
+    fn full_lut_bdd(
+        m: &mut Manager,
+        t: &TruthTable,
+        kids: &[Ref],
+        fixed: usize,
+        row: usize,
+    ) -> Ref {
+        if fixed == kids.len() {
+            return m.constant(t.value(row));
+        }
+        let i = kids.len() - 1 - fixed;
+        let hi = full_lut_bdd(m, t, kids, fixed + 1, row | 1 << i);
+        let lo = full_lut_bdd(m, t, kids, fixed + 1, row);
+        m.ite(kids[i], hi, lo)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `apply_gate` on a LUT returns the full expansion's `Ref` and
+        /// leaves a twin manager with the same node count: the pruned walk
+        /// creates the same nodes in the same order.
+        #[test]
+        fn lut_bdd_matches_the_full_expansion(
+            n in 0u32..17,
+            seed in proptest::prelude::any::<u64>()
+        ) {
+            let t = skewed_table(n, seed);
+            let (mut pruned, mut full) = (Manager::new(), Manager::new());
+            let kids = lut_operands(&mut pruned, n, seed);
+            let twin_kids = lut_operands(&mut full, n, seed);
+            proptest::prop_assert_eq!(&kids, &twin_kids);
+            let f = apply_gate(&mut pruned, &GateKind::Lut(t.clone()), &kids);
+            let g = full_lut_bdd(&mut full, &t, &twin_kids, 0, 0);
+            proptest::prop_assert_eq!(f, g);
+            proptest::prop_assert_eq!(pruned.num_nodes(), full.num_nodes());
+        }
     }
 }

@@ -336,6 +336,10 @@ impl Network {
     /// Bit-parallel simulation: `patterns[i]` carries 64 assignments of
     /// input `i` (one per bit). Returns one word per primary output.
     ///
+    /// Every gate costs word operations, LUTs included: a LUT evaluates as
+    /// a mux tree over its fanin words along [`TruthTable::shannon`], with
+    /// constant cofactors cut off, not row by row.
+    ///
     /// # Panics
     ///
     /// Panics if `patterns.len()` differs from the number of inputs.
@@ -374,21 +378,15 @@ impl Network {
                     let (s, t, e) = (v(node.fanins[0]), v(node.fanins[1]), v(node.fanins[2]));
                     (s & t) | (!s & e)
                 }
-                GateKind::Lut(table) => {
-                    let mut out = 0u64;
-                    for bit in 0..64 {
-                        let mut row = 0usize;
-                        for (i, &f) in node.fanins.iter().enumerate() {
-                            if v(f) >> bit & 1 == 1 {
-                                row |= 1 << i;
-                            }
-                        }
-                        if table.value(row) {
-                            out |= 1 << bit;
-                        }
-                    }
-                    out
-                }
+                // Bitwise Shannon expansion: a mux over fanin words per
+                // non-constant cofactor, a constant word per constant one.
+                GateKind::Lut(table) => table.shannon(
+                    |c| if c { u64::MAX } else { 0 },
+                    |i, hi, lo| {
+                        let k = v(node.fanins[i]);
+                        (k & hi) | (!k & lo)
+                    },
+                ),
             };
         }
         self.outputs
@@ -882,6 +880,42 @@ mod tests {
     /// Equality of everything a network holds, node names included.
     fn identical(a: &Network, b: &Network) -> bool {
         a.name == b.name && a.inputs == b.inputs && a.outputs == b.outputs && a.nodes == b.nodes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// LUT simulation along the pruned walk matches a row lookup per
+        /// pattern bit, for LUTs read off inputs, inverters and XORs.
+        #[test]
+        fn lut_simulation_matches_row_lookup(n in 0u32..17, seed in any::<u64>()) {
+            let table = crate::truth::tests::skewed_table(n, seed);
+            let mut rng = crate::XorShift64::new(seed ^ 0x51AB);
+            let mut net = Network::new("lut");
+            let inputs: Vec<SignalId> =
+                (0..n + 2).map(|i| net.add_input(format!("i{i}"))).collect();
+            let fanins: Vec<SignalId> = (0..n as usize)
+                .map(|i| match rng.next_u64() % 3 {
+                    0 => inputs[i],
+                    1 => net.add_gate(GateKind::Inv, vec![inputs[i + 2]]),
+                    _ => net.add_gate(GateKind::Xor, vec![inputs[i], inputs[i + 1]]),
+                })
+                .collect();
+            let lut = net.add_gate(GateKind::Lut(table.clone()), fanins.clone());
+            net.set_output("y", lut);
+            for &f in &fanins {
+                net.set_output(net.signal_name(f), f);
+            }
+            let patterns: Vec<u64> = inputs.iter().map(|_| rng.next_u64()).collect();
+            let words = net.simulate(&patterns);
+            let mut expected = 0u64;
+            for bit in 0..64 {
+                let row = (0..n as usize)
+                    .fold(0, |row, i| row | ((words[i + 1] >> bit & 1) as usize) << i);
+                expected |= u64::from(table.value(row)) << bit;
+            }
+            prop_assert_eq!(words[0], expected);
+        }
     }
 
     proptest! {

@@ -115,6 +115,14 @@ fn undriven_output_points_at_the_outputs_line() {
 }
 
 #[test]
+fn malformed_mask_points_at_its_cover_row() {
+    let text = ".model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n1x 1\n.end\n";
+    let e = parse_blif(text).unwrap_err();
+    assert_eq!(e.line(), 6, "a bad mask must cite its cover row: {e}");
+    assert!(e.to_string().contains("0, 1 or -"), "{e}");
+}
+
+#[test]
 fn cycle_error_points_at_a_names_block() {
     let text = ".model m\n.inputs a\n.outputs y\n.names y x\n1 1\n.names x y\n1 1\n.end\n";
     let e = parse_blif(text).unwrap_err();
@@ -143,6 +151,11 @@ fn adversarial_corpus_never_panics() {
         // Mask width mismatch and bad cover values.
         ".model m\n.inputs a b\n.outputs y\n.names a b y\n1 1\n.end\n",
         ".model m\n.inputs a\n.outputs y\n.names a y\n1 2\n.end\n",
+        // A mask character other than 0, 1 or -.
+        ".model m\n.inputs a b\n.outputs y\n.names a b y\n1x 1\n.end\n",
+        // A name defined twice: as an input and by a block, by two blocks.
+        ".model m\n.inputs a\n.outputs a\n.names a\n1\n.end\n",
+        ".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n.names y\n.end\n",
         // Undefined fanin, self-loop, and a two-node cycle.
         ".model m\n.inputs a\n.outputs y\n.names ghost y\n1 1\n.end\n",
         ".model m\n.outputs y\n.names y y\n1 1\n.end\n",

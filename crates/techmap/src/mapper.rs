@@ -218,78 +218,72 @@ fn emit_kind(
     }
 }
 
-/// Shannon-expands a LUT into MUX structures over its inputs.
+/// Shannon-expands a LUT into MUX structures over its inputs, pruned at
+/// constant cofactors ([`TruthTable::shannon`]): [`lut_mux`] folds two
+/// equal constants without emitting anything, so the cells are those of
+/// the full expansion.
 fn emit_lut(
     net: &mut Network,
     table: &TruthTable,
     fanins: &[SignalId],
     strash: &mut Strash,
 ) -> SignalId {
-    fn expand(
-        net: &mut Network,
-        table: &TruthTable,
-        fanins: &[SignalId],
-        strash: &mut Strash,
-        fixed: usize,
-        row: usize,
-        consts: &mut [Option<SignalId>; 2],
-    ) -> (Option<bool>, Option<SignalId>) {
-        if fixed == fanins.len() {
-            return (Some(table.value(row)), None);
-        }
-        let i = fanins.len() - 1 - fixed;
-        let (hc, hs) = expand(net, table, fanins, strash, fixed + 1, row | 1 << i, consts);
-        let (lc, ls) = expand(net, table, fanins, strash, fixed + 1, row, consts);
-        let sel = fanins[i];
-        // Constant-aware MUX construction.
-        match (hc, lc) {
-            (Some(h), Some(l)) if h == l => (Some(h), None),
-            (Some(true), Some(false)) => (None, Some(sel)),
-            (Some(false), Some(true)) => (None, Some(inv(net, strash, sel))),
-            _ => {
-                let mut constant =
-                    |v: bool| *consts[usize::from(v)].get_or_insert_with(|| net.add_const(v));
-                let hi = hs.unwrap_or_else(|| constant(hc.unwrap()));
-                let lo = ls.unwrap_or_else(|| constant(lc.unwrap()));
-                let s = match (hc, lc) {
-                    (Some(true), None) => {
-                        // sel + lo
-                        or2(net, strash, sel, lo)
-                    }
-                    (Some(false), None) => {
-                        // sel'·lo
-                        let ns = inv(net, strash, sel);
-                        and2(net, strash, ns, lo)
-                    }
-                    (None, Some(true)) => {
-                        // sel' + hi
-                        let ns = inv(net, strash, sel);
-                        or2(net, strash, ns, hi)
-                    }
-                    (None, Some(false)) => and2(net, strash, sel, hi),
-                    _ => {
-                        let ns = inv(net, strash, sel);
-                        let n1 = hashed(net, strash, 2, GateKind::Nand, &[sel, hi]);
-                        let n2 = hashed(net, strash, 2, GateKind::Nand, &[ns, lo]);
-                        hashed(net, strash, 2, GateKind::Nand, &[n1, n2])
-                    }
-                };
-                (None, Some(s))
-            }
-        }
+    let root = table.shannon(Cofactor::Const, |i, hi, lo| {
+        lut_mux(net, strash, fanins[i], hi, lo)
+    });
+    match root {
+        Cofactor::Const(v) => net.add_const(v),
+        Cofactor::Signal(s) => s,
     }
-    let (c, s) = expand(net, table, fanins, strash, 0, 0, &mut [None; 2]);
-    match (c, s) {
-        (Some(v), _) => net.add_const(v),
-        (None, Some(s)) => s,
-        _ => unreachable!(),
-    }
+}
+
+/// A LUT cofactor during [`emit_lut`]: a constant, or the cell computing
+/// it.
+#[derive(Clone, Copy)]
+enum Cofactor {
+    Const(bool),
+    Signal(SignalId),
+}
+
+/// Constant-aware MUX `sel ? hi : lo` over two LUT cofactors.
+fn lut_mux(
+    net: &mut Network,
+    strash: &mut Strash,
+    sel: SignalId,
+    hi: Cofactor,
+    lo: Cofactor,
+) -> Cofactor {
+    use Cofactor::{Const, Signal};
+    Signal(match (hi, lo) {
+        (Const(true), Const(true)) | (Const(false), Const(false)) => return hi,
+        (Const(true), Const(false)) => sel,
+        (Const(false), Const(true)) => inv(net, strash, sel),
+        // sel + lo
+        (Const(true), Signal(lo)) => or2(net, strash, sel, lo),
+        // sel'·lo
+        (Const(false), Signal(lo)) => {
+            let ns = inv(net, strash, sel);
+            and2(net, strash, ns, lo)
+        }
+        // sel' + hi
+        (Signal(hi), Const(true)) => {
+            let ns = inv(net, strash, sel);
+            or2(net, strash, ns, hi)
+        }
+        (Signal(hi), Const(false)) => and2(net, strash, sel, hi),
+        (Signal(hi), Signal(lo)) => {
+            let ns = inv(net, strash, sel);
+            let n1 = hashed(net, strash, 2, GateKind::Nand, &[sel, hi]);
+            let n2 = hashed(net, strash, 2, GateKind::Nand, &[ns, lo]);
+            hashed(net, strash, 2, GateKind::Nand, &[n1, n2])
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logic::equiv_sim;
+    use logic::{equiv_sim, XorShift64};
 
     fn mixed_network() -> Network {
         let mut net = Network::new("mix");
@@ -417,5 +411,75 @@ mod tests {
         // cleaning; the output INV stays, the internal pair is kept only if
         // structurally needed. Ensure we are not worse than the naive form.
         assert!(mapped.gate_count() <= 4);
+    }
+
+    /// Random tables skewed toward sparse, one-hot-OR and half-constant
+    /// shapes, where the pruned walk cuts the most.
+    fn skewed_table(n: u32, seed: u64) -> TruthTable {
+        let mut rng = XorShift64::new(seed);
+        let mut next = move || rng.next_u64();
+        let rows = 1usize << n;
+        let dense: Vec<u64> = (0..TruthTable::word_count(n)).map(|_| next()).collect();
+        let dense = TruthTable::from_words(n, dense);
+        let (a, b) = (next() as usize, next() as usize);
+        match next() % 5 {
+            0 => TruthTable::from_fn(n, |r| r == a % rows || r == b % rows),
+            1 => TruthTable::from_fn(n, |r| !(r ^ a) & b & (rows - 1) != 0),
+            2 => TruthTable::from_fn(n, |r| r & (a % rows) == 0 && dense.value(r)),
+            3 => dense,
+            _ => TruthTable::constant(n, a & 1 == 1),
+        }
+    }
+
+    /// The unpruned `2^n` Shannon expansion through [`lut_mux`].
+    fn full_lut(
+        net: &mut Network,
+        strash: &mut Strash,
+        t: &TruthTable,
+        fanins: &[SignalId],
+        fixed: usize,
+        row: usize,
+    ) -> Cofactor {
+        if fixed == fanins.len() {
+            return Cofactor::Const(t.value(row));
+        }
+        let i = fanins.len() - 1 - fixed;
+        let hi = full_lut(net, strash, t, fanins, fixed + 1, row | 1 << i);
+        let lo = full_lut(net, strash, t, fanins, fixed + 1, row);
+        lut_mux(net, strash, fanins[i], hi, lo)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `emit_lut` emits exactly the full expansion's cells, in order,
+        /// over input and inverter fanins.
+        #[test]
+        fn emit_lut_matches_the_full_expansion(
+            n in 0u32..17,
+            seed in proptest::prelude::any::<u64>()
+        ) {
+            let t = skewed_table(n, seed);
+            let mut rng = XorShift64::new(!seed);
+            let mut net = Network::new("lut");
+            let mut strash = Strash::default();
+            let inputs: Vec<SignalId> = (0..n).map(|i| net.add_input(format!("i{i}"))).collect();
+            let fanins: Vec<SignalId> = inputs
+                .iter()
+                .map(|&x| match rng.next_u64() % 3 {
+                    0 => inv(&mut net, &mut strash, x),
+                    _ => x,
+                })
+                .collect();
+            let (mut full, mut full_strash) = (net.clone(), strash.clone());
+            let pruned_root = emit_lut(&mut net, &t, &fanins, &mut strash);
+            let full_root = match full_lut(&mut full, &mut full_strash, &t, &fanins, 0, 0) {
+                Cofactor::Const(v) => full.add_const(v),
+                Cofactor::Signal(s) => s,
+            };
+            net.set_output("y", pruned_root);
+            full.set_output("y", full_root);
+            proptest::prop_assert_eq!(logic::write_blif(&net), logic::write_blif(&full));
+        }
     }
 }
